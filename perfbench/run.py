@@ -4,15 +4,14 @@ end to end and layer by layer. See README.md in this directory.
 
 Usage:
   python3 perfbench/run.py --workload grid16k[,chain64] [--seed N]
-                           [--seconds S] [--trace 0|1] [--threads T]
-                           [--trace-dir DIR]
+                           [--seconds S] [--trace 0|1] [--trace-dir DIR]
   python3 perfbench/run.py --self-test
 
 Each trial is a fresh write process (set-up, then the timed span streamed
 into an indexed spill) followed by a fresh read process over that spill;
-the spill is deleted after the trial. Trials repeat until --seconds have
-passed and at least MIN_TRIALS have run, as long as the next one should
-end within TRIAL_LIMIT_S, and each end-to-end metric is the median over
+the spill is deleted after the trial. Trials repeat while fewer than
+MIN_TRIALS have run or the next one should end within --seconds, and
+never past TRIAL_LIMIT_S; each end-to-end metric is the median over
 trials. --trace 1 alternates untraced writes with traced trials,
 whose writes switch on the program's per-window profiling, and reports
 the per-layer metrics plus the tracing overhead. --seed positions the
@@ -39,7 +38,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 
-DEFAULT_SECONDS = 30
+DEFAULT_SECONDS = 60
 MIN_TRIALS = 3
 MIN_TRACED_PAIRS = 3
 # A trial is not started when the previous one suggests it would end
@@ -47,6 +46,7 @@ MIN_TRACED_PAIRS = 3
 # running at DEADLINE_S is killed and counted as failed.
 TRIAL_LIMIT_S = 150
 DEADLINE_S = 170
+WORKER_THREADS = 2
 READ_THREADS = 2
 MIB = 1024 * 1024
 
@@ -68,11 +68,11 @@ class Workload:
 # the warm-up split of RunFor) and are equal at 1 and 2 workers.
 WORKLOADS = {
     "grid16k": Workload(
-        "grid", 16384, 4, 200, 2000, 1.0,
-        "13d495abcecbee25", "c4f3582f90bc5201"),
+        "grid", 16384, 4, 500, 2000, 1.0,
+        "9a8093f91dbaff70", "dcfffe76c9f236ea"),
     "chain64": Workload(
-        "chain", 64, 1, 30000, 300000, 1.0,
-        "fe888d3c9f60eb43", "81ff58f0e8a552ab"),
+        "chain", 64, 1, 60000, 300000, 1.0,
+        "b9042f8da283750b", "7ac0c1709b7758a7"),
 }
 
 # The self-test's network: small enough to run every check in seconds,
@@ -299,8 +299,8 @@ def per_layer(traced, untraced):
     def m(get):
         return median([t for t in traced if t.write and t.read], get)
 
-    def w(key):
-        return m(lambda t: t.write[key])
+    def w(key, scale=1.0):
+        return m(lambda t: t.write[key] * scale)
 
     def r(key):
         return m(lambda t: t.read[key])
@@ -315,9 +315,12 @@ def per_layer(traced, untraced):
     traced_run = w("run_s")
     untraced_run = median([t for t in untraced if t.write],
                           lambda t: t.write["run_s"])
+    overhead = None
+    if traced_run is not None and untraced_run:
+        overhead = traced_run / untraced_run - 1.0
     return {
         "apps.construct_s": w("construct_s"),
-        "apps.arena_mb": w("arena_bytes") / MIB,
+        "apps.arena_mb": w("arena_bytes", 1.0 / MIB),
         "sim.ctor_s": w("sim_ctor_s"),
         "sim.warmup_s": w("warmup_s"),
         "sim.events": w("events"),
@@ -349,7 +352,7 @@ def per_layer(traced, untraced):
         "emission.tail_s": w("tail_s"),
         "spill.close_s": w("close_s"),
         "spill.segments": w("segments"),
-        "spill.index_mb": w("index_bytes") / MIB,
+        "spill.index_mb": w("index_bytes", 1.0 / MIB),
         "read.open_s": r("open_s"),
         "read.decode_s": r("decode_s"),
         "read.range_s": r("range_s"),
@@ -364,7 +367,7 @@ def per_layer(traced, untraced):
         "proc.cpu_s": w("cpu_s"),
         "proc.vol_ctx_switches": w("vol_ctx_switches"),
         "proc.minor_faults": w("minor_faults"),
-        "trace.overhead": traced_run / untraced_run - 1.0,
+        "trace.overhead": overhead,
     }
 
 
@@ -403,9 +406,8 @@ def measure(exe, build_dir, name, workload, seed, seconds, trace, threads,
     last = 0.0
 
     def more(done, minimum):
-        elapsed = time.monotonic() - start
-        return (elapsed + last < TRIAL_LIMIT_S and
-                (done < minimum or elapsed < seconds))
+        end = time.monotonic() - start + last
+        return end < TRIAL_LIMIT_S and (done < minimum or end <= seconds)
 
     while more(len(traced) if trace else len(untraced),
                MIN_TRACED_PAIRS if trace else MIN_TRIALS):
@@ -510,16 +512,19 @@ def self_test(exe, build_dir):
         expect(tally.failed == 0 and tally.attempted > 0,
                "tiny at %d workers: %d of %d operations failed" % (
                    threads, tally.failed, tally.attempted))
-    tally, metrics, units = measure(exe, build_dir, "tiny", TINY, 7, 0, 0, 2)
+    tally, metrics, units = measure(exe, build_dir, "tiny", TINY, 7, 0, 0,
+                                    WORKER_THREADS)
     expect([(k, units[k]) for k in metrics] == END_TO_END,
            "untraced metrics %s" % sorted(metrics))
-    tally, metrics, units = measure(exe, build_dir, "tiny", TINY, 7, 0, 1, 2)
+    tally, metrics, units = measure(exe, build_dir, "tiny", TINY, 7, 0, 1,
+                                    WORKER_THREADS)
     expect(tally.failed == 0, "traced tiny run failed %d" % tally.failed)
     expect([(k, units[k]) for k in metrics] == PER_LAYER,
            "traced metrics %s" % sorted(metrics))
     wrong = Workload(TINY.topology, TINY.motes, TINY.sinks, TINY.warmup_ms,
                      TINY.span_ms, TINY.read_min_s, "0" * 16, TINY.scan_hash)
-    tally, _, _ = measure(exe, build_dir, "tiny", wrong, 1, 0, 0, 2)
+    tally, _, _ = measure(exe, build_dir, "tiny", wrong, 1, 0, 0,
+                          WORKER_THREADS)
     expect(tally.failed >= MIN_TRIALS,
            "wrong pinned hash counted %d failures" % tally.failed)
 
@@ -534,6 +539,7 @@ def self_test(exe, build_dir):
                sorted(WORKLOADS),
                "BENCHMARK.json workloads differ from WORKLOADS")
     for bad in (["--bogus"], ["--workload", "nosuch"], ["--trace", "2"],
+                ["--workload", "chain64", "--threads", "1"],
                 ["--workload", "chain64", "--trace-dir", "spans"]):
         proc = subprocess.run([sys.executable, str(Path(__file__))] + bad,
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE)
@@ -554,8 +560,6 @@ def parse_args(argv):
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=DEFAULT_SECONDS)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--threads", type=int, default=2,
-                        help="simulator worker threads (default 2)")
     parser.add_argument("--trace-dir",
                         help="with --trace 1: write spans and per-window "
                              "series here")
@@ -569,8 +573,6 @@ def parse_args(argv):
     for name in args.workloads:
         if name not in WORKLOADS:
             parser.error("unknown workload '%s'" % name)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     if args.trace_dir and not args.trace:
         parser.error("--trace-dir needs --trace 1")
     return args
@@ -590,7 +592,7 @@ def main(argv):
         for name in args.workloads:
             results[name] = measure(exe, build_dir, name, WORKLOADS[name],
                                     args.seed, args.seconds, args.trace,
-                                    args.threads, trace_dir)
+                                    WORKER_THREADS, trace_dir)
         return report(results)
     except RunnerError as e:
         log("run.py: %s" % e)
