@@ -7,6 +7,8 @@
 // Usage:
 //   bench_read_path --trace FILE [--threads 1,2,4] [--time-frac 0.1]
 //                   [--repeat N] [--max-rss-mb M] [--json read_path.json]
+//   An unknown flag, or a flag missing its value, prints the usage and
+//   exits 2 before anything runs; --help prints it and exits 0.
 //
 // The input is typically the indexed spill a streamed bench run wrote
 // (bench_scale_multihop --stream-traces --trace ...). Exit is nonzero
@@ -60,6 +62,11 @@ struct FullRead {
   uint64_t entries = 0;
 };
 
+constexpr char kUsage[] =
+    "usage: bench_read_path --trace FILE [--threads 1,2,4]"
+    " [--time-frac 0.1] [--repeat N] [--max-rss-mb M]"
+    " [--json read_path.json]\n";
+
 int Run(int argc, char** argv) {
   std::string trace_path;
   std::string json_path = "read_path.json";
@@ -90,12 +97,18 @@ int Run(int argc, char** argv) {
       repeat = static_cast<size_t>(std::atol(argv[++i]));
     } else if (std::strcmp(argv[i], "--max-rss-mb") == 0 && i + 1 < argc) {
       max_rss_mb = static_cast<size_t>(std::atol(argv[++i]));
+    } else if (std::strcmp(argv[i], "--help") == 0 ||
+               std::strcmp(argv[i], "-h") == 0) {
+      std::cout << kUsage;
+      return 0;
+    } else {
+      std::cerr << "unknown flag or missing value: " << argv[i] << "\n"
+                << kUsage;
+      return 2;
     }
   }
   if (trace_path.empty() || thread_sweep.empty()) {
-    std::cerr << "usage: bench_read_path --trace FILE [--threads 1,2,4]"
-                 " [--time-frac 0.1] [--repeat N] [--max-rss-mb M]"
-                 " [--json read_path.json]\n";
+    std::cerr << kUsage;
     return 2;
   }
   if (repeat == 0) {

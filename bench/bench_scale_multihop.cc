@@ -33,6 +33,9 @@
 //                             [--sync-emission] [--emission-depth D]
 //                             [--huge-motes N] [--legacy-charge-sweep]
 //                             [--serial-drain] [--serial-charge-flush]
+//                             [--segment-entries N] [--help]
+//   An unknown flag, or a flag missing its value, prints the usage and
+//   exits 2 before anything runs; --help prints it and exits 0.
 //   --motes        run only one network size instead of the 64/128/256 sweep
 //   --seconds      simulated seconds per run (default 10)
 //   --threads      worker-thread sweep; 0 = single-engine baseline
@@ -151,6 +154,20 @@
 
 namespace quanto {
 namespace {
+
+constexpr char kUsage[] =
+    "usage: bench_scale_multihop [--motes N] [--seconds S] [--json PATH]\n"
+    "                            [--threads T1,T2,...] [--shards S]\n"
+    "                            [--lookahead-us U] [--trace PATH]\n"
+    "                            [--topology chain|grid] [--sinks K]\n"
+    "                            [--grid-width W] [--wide-motes N]\n"
+    "                            [--stream-traces] [--stream-log-capacity N]\n"
+    "                            [--max-rss-mb M] [--mem-motes N]\n"
+    "                            [--coordinator-seal] [--big-motes N]\n"
+    "                            [--sync-emission] [--emission-depth D]\n"
+    "                            [--huge-motes N] [--legacy-charge-sweep]\n"
+    "                            [--serial-drain] [--serial-charge-flush]\n"
+    "                            [--segment-entries N] [--help]\n";
 
 // Percentile summary of one per-window timing series (microseconds).
 struct PctSummary {
@@ -856,6 +873,14 @@ int Run(int argc, char** argv) {
         return 2;
       }
       max_rss_mb = static_cast<size_t>(n);
+    } else if (std::strcmp(argv[i], "--help") == 0 ||
+               std::strcmp(argv[i], "-h") == 0) {
+      std::cout << kUsage;
+      return 0;
+    } else {
+      std::cerr << "unknown flag or missing value: " << argv[i] << "\n"
+                << kUsage;
+      return 2;
     }
   }
 

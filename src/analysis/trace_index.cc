@@ -224,8 +224,10 @@ void TraceIndexBuilder::Add(const LogEntry& e) {
   last_icount_ = e.icount;
   has_icount_ = true;
   if (IsActivityEntry(e)) {
-    cur_.activities[e.payload].entries += 1;
-    node_id_t origin = ActivityOrigin(e.payload);
+    // A copy: the map's key reference must not bind to the packed field.
+    act_t act = e.payload;
+    cur_.activities[act].entries += 1;
+    node_id_t origin = ActivityOrigin(act);
     cur_.origin_filter |= uint64_t{1} << (origin % 64);
     if (origin != kBroadcastAddr) {
       if (origin < cur_.origin_min) {
@@ -236,7 +238,7 @@ void TraceIndexBuilder::Add(const LogEntry& e) {
       }
     }
     if (EntryType(e) == LogEntryType::kActivitySet && e.res_id == kSinkCpu) {
-      cpu_act_ = e.payload;
+      cpu_act_ = act;
     }
   }
 }

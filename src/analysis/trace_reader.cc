@@ -86,11 +86,13 @@ bool EntryMatches(const TraceQuery& q, const std::vector<node_id_t>& origins,
                            ActivityOrigin(e.payload)))) {
     return false;
   }
-  if (!activities.empty() &&
-      (!IsActivityEntry(e) ||
-       !std::binary_search(activities.begin(), activities.end(),
-                           e.payload))) {
-    return false;
+  if (!activities.empty()) {
+    // A copy: binary_search's reference must not bind to the packed field.
+    act_t act = e.payload;
+    if (!IsActivityEntry(e) ||
+        !std::binary_search(activities.begin(), activities.end(), act)) {
+      return false;
+    }
   }
   return true;
 }

@@ -4,6 +4,31 @@
 #include <chrono>
 
 namespace quanto {
+namespace {
+
+// Pause instructions a waiter spins before it parks. About 37 us at the
+// ~18 ns per pause of a 4-vCPU Xeon VM: longer than the coordinator's
+// serial hooks and the usual arrival skew at the in-pool barrier, so a
+// busy run almost never parks, yet short enough that a waiter whose
+// partner lost its vCPU soon gives its own core back.
+constexpr int kSpinPauses = 2048;
+
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+
+uint32_t MicrosSince(std::chrono::steady_clock::time_point start) {
+  return static_cast<uint32_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+}
+
+}  // namespace
 
 ShardedSimulator::ShardedSimulator(const Config& config) : config_(config) {
   size_t shards = std::max<size_t>(1, config.shards);
@@ -23,14 +48,37 @@ ShardedSimulator::ShardedSimulator(const Config& config) : config_(config) {
 }
 
 ShardedSimulator::~ShardedSimulator() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
-  }
-  cv_work_.notify_all();
+  shutdown_ = true;
+  Wake();
   for (std::thread& t : workers_) {
     t.join();
   }
+}
+
+template <typename Ready>
+void ShardedSimulator::Await(Ready ready) {
+  for (int i = 0; i < kSpinPauses; ++i) {
+    if (ready()) {
+      return;
+    }
+    CpuRelax();
+  }
+  std::unique_lock<std::mutex> lock(park_mu_);
+  ++sleepers_;
+  park_cv_.wait(lock, ready);
+  --sleepers_;
+}
+
+void ShardedSimulator::Wake() {
+  // The caller's store precedes this load, and a parker's increment of
+  // sleepers_ precedes its predicate check (both sequentially consistent),
+  // so if this reads 0 the parker is bound to see the store. Otherwise the
+  // lock orders the notify after the parker has started waiting.
+  if (sleepers_ == 0) {
+    return;
+  }
+  { std::lock_guard<std::mutex> lock(park_mu_); }
+  park_cv_.notify_all();
 }
 
 void ShardedSimulator::RunShardRange(size_t worker, Tick target) {
@@ -60,50 +108,62 @@ void ShardedSimulator::RunDrainRange(size_t worker, Tick target) {
   }
 }
 
-void ShardedSimulator::DispatchPhase(Phase phase, Tick target) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    target_ = target;
-    phase_ = phase;
-    running_ = workers_.size();
-    ++epoch_;
-  }
-  cv_work_.notify_all();
-  if (phase == Phase::kWindow) {
-    RunShardRange(0, target);
+void ShardedSimulator::CrossBarrier(uint64_t epoch) {
+  if (--barrier_count_ == 0) {
+    barrier_epoch_ = epoch;
+    Wake();
   } else {
-    RunDrainRange(0, target);
+    Await([&] { return barrier_epoch_ == epoch; });
   }
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_done_.wait(lock, [&] { return running_ == 0; });
+}
+
+void ShardedSimulator::RunWindow(Tick target) {
+  bool pool = !workers_.empty();
+  uint64_t epoch = epoch_ + 1;
+  if (pool) {
+    target_ = target;
+    barrier_count_ = threads_;
+    pending_ = workers_.size();
+    epoch_ = epoch;
+    Wake();
+  }
+  RunShardRange(0, target);
+  if (pool) {
+    CrossBarrier(epoch);
+  }
+  // Inter-window parallel phase: past the barrier every shard is parked
+  // at `target`, so every mailbox lane published during the window is
+  // complete and frozen. Each shard now consumes its own inbound
+  // cross-shard posts (destination-owned, write-local — see
+  // AddShardDrainTask) before the serial hooks resume.
+  std::chrono::steady_clock::time_point drain_start;
+  if (profile_barriers_) {
+    drain_start = std::chrono::steady_clock::now();
+  }
+  RunDrainRange(0, target);
+  if (pool) {
+    Await([&] { return pending_ == 0; });
+  }
+  if (profile_barriers_) {
+    drain_phase_us_samples_.push_back(
+        drain_tasks_.empty() ? 0 : MicrosSince(drain_start));
+  }
 }
 
 void ShardedSimulator::WorkerLoop(size_t worker) {
   uint64_t seen_epoch = 0;
   for (;;) {
-    Tick target;
-    Phase phase;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_work_.wait(lock,
-                    [&] { return shutdown_ || epoch_ != seen_epoch; });
-      if (shutdown_) {
-        return;
-      }
-      seen_epoch = epoch_;
-      target = target_;
-      phase = phase_;
+    Await([&] { return shutdown_ || epoch_ != seen_epoch; });
+    if (shutdown_) {
+      return;
     }
-    if (phase == Phase::kWindow) {
-      RunShardRange(worker, target);
-    } else {
-      RunDrainRange(worker, target);
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--running_ == 0) {
-        cv_done_.notify_one();
-      }
+    seen_epoch = epoch_;
+    Tick target = target_;
+    RunShardRange(worker, target);
+    CrossBarrier(seen_epoch);
+    RunDrainRange(worker, target);
+    if (--pending_ == 0) {
+      Wake();
     }
   }
 }
@@ -136,36 +196,7 @@ uint64_t ShardedSimulator::RunUntil(Tick end) {
       target = end;
     }
 
-    if (threads_ == 1) {
-      RunShardRange(0, target);
-    } else {
-      DispatchPhase(Phase::kWindow, target);
-    }
-
-    // Inter-window parallel phase: all shards are parked at `target`, so
-    // every mailbox lane published during the window is complete and
-    // frozen. Each shard now consumes its own inbound cross-shard posts
-    // (destination-owned, write-local — see AddShardDrainTask) in
-    // parallel, before the serial hooks resume.
-    if (!drain_tasks_.empty()) {
-      std::chrono::steady_clock::time_point drain_start;
-      if (profile_barriers_) {
-        drain_start = std::chrono::steady_clock::now();
-      }
-      if (threads_ == 1) {
-        RunDrainRange(0, target);
-      } else {
-        DispatchPhase(Phase::kDrain, target);
-      }
-      if (profile_barriers_) {
-        drain_phase_us_samples_.push_back(static_cast<uint32_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - drain_start)
-                .count()));
-      }
-    } else if (profile_barriers_) {
-      drain_phase_us_samples_.push_back(0);
-    }
+    RunWindow(target);
 
     // Barrier: all shards parked at `target`, drain phase complete.
     // Exchange remaining cross-shard effects (and any other per-window

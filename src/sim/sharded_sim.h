@@ -17,15 +17,17 @@
 //    worker-thread count. Threads only decide *who* executes a shard's
 //    window, never *what* executes: a 1-thread run and an 8-thread run
 //    perform the identical per-shard event sequences.
-//  * Inter-window work is phase-ordered, not thread-ordered. After every
-//    shard parks at the barrier, an optional parallel drain phase runs
-//    once per shard (destination-owned work such as the fabric's mailbox
-//    merge — see AddShardDrainTask), then the serial barrier hooks
-//    (O(shards) hand-off bookkeeping) run on the coordinating thread in
-//    registration order. Each drain task writes only its own
-//    shard's engine and applies inputs in a deterministic merge order,
-//    so the events it schedules get identical sequence numbers at any
-//    thread count — the same argument as for the hooks themselves.
+//  * Inter-window work is phase-ordered, not thread-ordered. A window is
+//    one dispatch to the pool: each worker runs its shards' windows, then
+//    crosses an in-pool barrier that opens once every shard is parked at
+//    the window end, then runs the optional drain tasks of its shards
+//    (destination-owned work such as the fabric's mailbox merge — see
+//    AddShardDrainTask). Once every worker has finished its drain, the
+//    serial barrier hooks (O(shards) hand-off bookkeeping) run on the
+//    coordinating thread in registration order. Each drain task writes
+//    only its own shard's engine and applies inputs in a deterministic
+//    merge order, so the events it schedules get identical sequence
+//    numbers at any thread count — the same argument as for the hooks.
 //  * Each queue's same-tick FIFO ordering is untouched; merged per-node
 //    logs are therefore bit-identical across thread counts (asserted by
 //    tests/sharded_determinism_test.cc).
@@ -37,6 +39,7 @@
 #ifndef QUANTO_SRC_SIM_SHARDED_SIM_H_
 #define QUANTO_SRC_SIM_SHARDED_SIM_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <functional>
 #include <memory>
@@ -120,7 +123,8 @@ class ShardedSimulator {
   // the window barrier published (it is frozen until the hooks run) but
   // must WRITE only state owned by their `shard` — its EventQueue, its
   // slot in per-shard arrays — which keeps the phase data-race-free by
-  // construction. The phase barrier publishes task writes to the hooks.
+  // construction. The pool's completion count publishes task writes to
+  // the hooks.
   using ShardDrainTask = std::function<void(size_t shard, Tick window_end)>;
   void AddShardDrainTask(ShardDrainTask task) {
     drain_tasks_.push_back(std::move(task));
@@ -129,13 +133,13 @@ class ShardedSimulator {
   // Barrier profiling: when enabled, records per window, in microseconds,
   // three separate series — the coordinator's serial barrier section (the
   // BarrierHook loop), the parallel inter-window drain phase's wall time
-  // (empty when no ShardDrainTask is registered), and the whole window's
-  // wall time (placement + parallel shard execution + drain phase +
-  // barrier). Keeping drain_phase_us out of barrier_us is what makes the
-  // parallel fabric drain measurable: before the split the drain hid
-  // inside the serial-hook aggregate. window_wall minus (drain + barrier)
-  // is the window-execution parallel section. Off by default — the
-  // samples vectors grow by 8 bytes per window.
+  // (0 when no ShardDrainTask is registered), and the whole window's wall
+  // time (placement + parallel shard execution + drain phase + barrier).
+  // The drain phase is timed on the coordinating thread, from the moment
+  // it passes the in-pool barrier (every shard parked at the window end)
+  // until every worker has finished its drain tasks. window_wall minus
+  // (drain + barrier) is the window-execution parallel section. Off by
+  // default — the samples vectors grow by 12 bytes per window.
   void EnableBarrierProfiling(bool on) { profile_barriers_ = on; }
   const std::vector<uint32_t>& barrier_us_samples() const {
     return barrier_us_samples_;
@@ -158,17 +162,24 @@ class ShardedSimulator {
   uint64_t windows_run() const { return windows_run_; }
 
  private:
-  // The two parallel phases a worker can be dispatched into: window
-  // execution (RunShardRange) or the inter-window drain (RunDrainRange).
-  enum class Phase : uint8_t { kWindow, kDrain };
-
   // Runs worker `w`'s static shard range [w*S/T, (w+1)*S/T) up to target.
   void RunShardRange(size_t worker, Tick target);
   // Runs the registered ShardDrainTasks for worker `w`'s shard range.
   void RunDrainRange(size_t worker, Tick target);
-  // Publishes (phase, target) to the worker pool, runs the coordinator's
-  // own range, and waits for the pool — one full parallel phase.
-  void DispatchPhase(Phase phase, Tick target);
+  // Both parallel phases of one window on the coordinating thread: with a
+  // pool, publishes (epoch, target), takes part as worker 0 and returns
+  // once every worker has finished its drain. Records the drain-phase
+  // sample when profiling.
+  void RunWindow(Tick target);
+  // The in-pool barrier between window execution and the drain: returns
+  // once all threads_ participants have arrived for window `epoch`.
+  void CrossBarrier(uint64_t epoch);
+  // Spins a bounded number of pauses until `ready()` holds, then parks on
+  // park_cv_. Every store that can make a waiter's predicate true is
+  // followed by Wake().
+  template <typename Ready>
+  void Await(Ready ready);
+  void Wake();
   void WorkerLoop(size_t worker);
 
   Config config_;
@@ -184,17 +195,28 @@ class ShardedSimulator {
   std::vector<uint32_t> drain_phase_us_samples_;
   std::vector<uint32_t> window_us_samples_;
 
-  // Phase dispatch: the coordinator publishes (epoch_, phase_, target_)
-  // under mu_, workers run their ranges, the last one signals cv_done_.
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  uint64_t epoch_ = 0;
-  Phase phase_ = Phase::kWindow;
+  // Window dispatch, one round trip per window: the coordinator writes
+  // target_, resets the two counts and bumps epoch_; each worker runs its
+  // shards, crosses the barrier (barrier_count_ counts down to 0, and the
+  // last arrival publishes the epoch in barrier_epoch_ — a sense-reversing
+  // barrier whose sense is the window epoch), drains, and decrements
+  // pending_; the coordinator waits for pending_ == 0. Atomics keep their
+  // default (sequentially consistent) order: Wake()'s unlocked read of
+  // sleepers_ relies on it against Await()'s increment.
   Tick target_ = 0;
-  size_t running_ = 0;
-  bool shutdown_ = false;
+  std::atomic<uint64_t> epoch_{0};
+  std::atomic<size_t> barrier_count_{0};
+  std::atomic<uint64_t> barrier_epoch_{0};
+  std::atomic<size_t> pending_{0};
+  std::atomic<bool> shutdown_{false};
+  // Parking: a waiter that outlasts its spin increments sleepers_ under
+  // park_mu_ and waits on park_cv_; wakers skip the lock while nobody
+  // sleeps.
+  std::mutex park_mu_;
+  std::condition_variable park_cv_;
+  std::atomic<uint32_t> sleepers_{0};
+  // Declared last: the threads use every member above.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace quanto

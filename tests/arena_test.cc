@@ -93,7 +93,7 @@ TEST(ArenaTest, NewArrayIsWritableRawStorage) {
     entries[i].type = static_cast<uint8_t>(i & 3);
     entries[i].payload = i;
   }
-  EXPECT_EQ(entries[0].payload, 0u);
+  EXPECT_EQ(uint64_t{entries[0].payload}, 0u);
   EXPECT_EQ(entries[kN - 1].payload, kN - 1);
 }
 
@@ -136,7 +136,7 @@ TEST(ArenaTest, RingBufferStorageCanLiveInTheArena) {
   }
   EXPECT_EQ(ring.size(), 64u);
   LogEntry out = ring.Pop();
-  EXPECT_EQ(out.payload, 0u);
+  EXPECT_EQ(uint64_t{out.payload}, 0u);
   // The ring storage came from the arena, not the heap.
   EXPECT_GE(arena.bytes_allocated(), 64 * sizeof(LogEntry));
 }

@@ -130,7 +130,7 @@ TEST(ShardRunBuilderTest, HoldsBackBoundaryEntriesForNextRun) {
   std::vector<MergedEntry> second = builder.TakeRun();
   ASSERT_EQ(second.size(), 2u);
   EXPECT_EQ(second[0].time64, 100u);
-  EXPECT_EQ(second[0].entry.payload, 2u);
+  EXPECT_EQ(uint64_t{second[0].entry.payload}, 2u);
   EXPECT_EQ(second[1].time64, 150u);
 }
 
@@ -205,7 +205,8 @@ TEST(ShardRunBuilderTest, PremergedRunsMatchBatchMergeIncludingWrap) {
   for (size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(streamed[i].time64, batch[i].time64) << "entry " << i;
     EXPECT_EQ(streamed[i].node, batch[i].node) << "entry " << i;
-    EXPECT_EQ(streamed[i].entry.payload, batch[i].entry.payload)
+    EXPECT_EQ(uint64_t{streamed[i].entry.payload},
+              uint64_t{batch[i].entry.payload})
         << "entry " << i;
   }
   EXPECT_EQ(merger.hash(), MergedTraceHash(batch));

@@ -62,10 +62,10 @@ TEST(QuantoLoggerTest, StampsTimeAndEnergySynchronously) {
   logger.power_track().changed(3, 7);
   auto trace = logger.Trace();
   ASSERT_EQ(trace.size(), 1u);
-  EXPECT_EQ(trace[0].time, 1234u);
-  EXPECT_EQ(trace[0].icount, 99u);
+  EXPECT_EQ(uint32_t{trace[0].time}, 1234u);
+  EXPECT_EQ(uint32_t{trace[0].icount}, 99u);
   EXPECT_EQ(trace[0].res_id, 3);
-  EXPECT_EQ(trace[0].payload, 7);
+  EXPECT_EQ(uint64_t{trace[0].payload}, 7);
   EXPECT_EQ(EntryType(trace[0]), LogEntryType::kPowerState);
   EXPECT_EQ(counter.reads, 1);
 }
@@ -139,7 +139,8 @@ TEST(QuantoLoggerTest, DrainMovesToArchiveInOrder) {
   auto trace = logger.Trace();
   ASSERT_EQ(trace.size(), 5u);
   for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(trace[static_cast<size_t>(i)].time, static_cast<uint32_t>(i));
+    EXPECT_EQ(uint32_t{trace[static_cast<size_t>(i)].time},
+              static_cast<uint32_t>(i));
   }
 }
 
@@ -176,7 +177,7 @@ TEST(QuantoLoggerTest, TimeAndCounterTruncateToThirtyTwoBits) {
   clock.now = (Tick{5} << 32) | 77;  // Past a 32-bit wrap.
   logger.power_track().changed(0, 1);
   auto trace = logger.Trace();
-  EXPECT_EQ(trace[0].time, 77u);
+  EXPECT_EQ(uint32_t{trace[0].time}, 77u);
 }
 
 TEST(QuantoLoggerTest, DefaultBufferMatchesPaper) {

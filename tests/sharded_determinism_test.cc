@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "src/analysis/streaming.h"
@@ -73,9 +75,11 @@ void ExpectIdentical(const ShardedRun& a, const ShardedRun& b) {
     ASSERT_EQ(x.node, y.node) << "entry " << i;
     ASSERT_EQ(x.entry.type, y.entry.type) << "entry " << i;
     ASSERT_EQ(x.entry.res_id, y.entry.res_id) << "entry " << i;
-    ASSERT_EQ(x.entry.time, y.entry.time) << "entry " << i;
-    ASSERT_EQ(x.entry.icount, y.entry.icount) << "entry " << i;
-    ASSERT_EQ(x.entry.payload, y.entry.payload) << "entry " << i;
+    ASSERT_EQ(uint32_t{x.entry.time}, uint32_t{y.entry.time}) << "entry " << i;
+    ASSERT_EQ(uint32_t{x.entry.icount}, uint32_t{y.entry.icount})
+        << "entry " << i;
+    ASSERT_EQ(uint64_t{x.entry.payload}, uint64_t{y.entry.payload})
+        << "entry " << i;
   }
 
   // Streamed regression coefficients: exact (bitwise) equality — the
@@ -165,6 +169,101 @@ TEST(ShardedSimulatorTest, BarrierHooksRunOncePerWindow) {
   sim.RunFor(Milliseconds(50));
   EXPECT_EQ(hook_calls, sim.windows_run());
   EXPECT_GE(hook_calls, 100u - 1);
+}
+
+TEST(ShardedSimulatorTest, PhaseOrderAcrossThreads) {
+  // One dispatch per window runs window tasks, the in-pool barrier and the
+  // drain tasks back to back; hooks follow the completion count. Every
+  // drain must see every shard's window task of this window done, and
+  // every hook every drain done. The record slots are plain (non-atomic),
+  // so under TSAN a missing happens-before edge also shows as a race.
+  constexpr size_t kShards = 8;
+  for (size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
+    SCOPED_TRACE(threads);
+    ShardedSimulator::Config cfg;
+    cfg.shards = kShards;
+    cfg.threads = threads;
+    cfg.lookahead = Microseconds(100);
+    ShardedSimulator sim(cfg);
+    ASSERT_EQ(sim.thread_count(), threads);
+    // A 20 us heartbeat on every shard: no window is idle or skipped.
+    struct Heartbeat {
+      EventQueue* q = nullptr;
+      void Arm() {
+        q->ScheduleAfter(Microseconds(20), [this] { Arm(); });
+      }
+    };
+    Heartbeat beats[kShards];
+    for (size_t s = 0; s < kShards; ++s) {
+      beats[s].q = &sim.queue(s);
+      beats[s].Arm();
+    }
+    std::vector<Tick> window_done(kShards, 0);
+    std::vector<Tick> drain_done(kShards, 0);
+    std::vector<uint64_t> window_calls(kShards, 0);
+    std::vector<uint64_t> drain_calls(kShards, 0);
+    std::vector<uint64_t> drain_errors(kShards, 0);
+    uint64_t hook_calls = 0;
+    uint64_t hook_errors = 0;
+    sim.AddShardWindowTask([&](size_t shard, Tick window_end) {
+      // Skew the arrivals: a different shard yields its core each window.
+      if (window_calls[shard] % kShards == shard) {
+        std::this_thread::yield();
+      }
+      window_done[shard] = window_end;
+      ++window_calls[shard];
+    });
+    sim.AddShardDrainTask([&](size_t shard, Tick window_end) {
+      for (Tick done : window_done) {
+        if (done != window_end) {
+          ++drain_errors[shard];
+        }
+      }
+      drain_done[shard] = window_end;
+      ++drain_calls[shard];
+    });
+    sim.AddBarrierHook([&](Tick window_end) {
+      for (Tick done : drain_done) {
+        if (done != window_end) {
+          ++hook_errors;
+        }
+      }
+      ++hook_calls;
+    });
+    while (sim.windows_run() < 10000) {
+      sim.RunFor(Milliseconds(250));
+    }
+    uint64_t windows = sim.windows_run();
+    EXPECT_EQ(hook_calls, windows);
+    EXPECT_EQ(hook_errors, 0u);
+    for (size_t s = 0; s < kShards; ++s) {
+      EXPECT_EQ(window_calls[s], windows) << "shard " << s;
+      EXPECT_EQ(drain_calls[s], windows) << "shard " << s;
+      EXPECT_EQ(drain_errors[s], 0u) << "shard " << s;
+    }
+  }
+}
+
+TEST(ShardedSimulatorTest, DestroysParkedWorkers) {
+  // A waiter parks once its bounded spin runs out; 20 ms is far past it.
+  // Destruction must wake and join parked workers, whether or not the
+  // pool ever ran a window. A hang here fails on the test timeout.
+  ShardedSimulator::Config cfg;
+  cfg.shards = 8;
+  cfg.threads = 4;
+  {
+    ShardedSimulator sim(cfg);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  {
+    ShardedSimulator sim(cfg);
+    sim.AddShardDrainTask([](size_t, Tick) {});
+    bool fired = false;
+    sim.queue(3).Schedule(Milliseconds(1), [&fired] { fired = true; });
+    sim.RunFor(Milliseconds(5));
+    EXPECT_TRUE(fired);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
 }
 
 }  // namespace

@@ -136,7 +136,8 @@ TEST(StreamingMergeTest, MatchesBatchMergeIncludingWrapUnwrap) {
   for (size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(streamed[i].time64, batch[i].time64) << "entry " << i;
     EXPECT_EQ(streamed[i].node, batch[i].node) << "entry " << i;
-    EXPECT_EQ(streamed[i].entry.payload, batch[i].entry.payload)
+    EXPECT_EQ(uint64_t{streamed[i].entry.payload},
+              uint64_t{batch[i].entry.payload})
         << "entry " << i;
   }
   EXPECT_EQ(merger.hash(), MergedTraceHash(batch));
@@ -185,11 +186,11 @@ TEST(TraceSinkTest, LoggerSealsArchiveAndBufferInOrder) {
   EXPECT_EQ(sink.chunks[0].node, 42);
   EXPECT_EQ(sink.chunks[0].seq, 0u);
   ASSERT_EQ(sink.chunks[0].entries.size(), 2u);
-  EXPECT_EQ(sink.chunks[0].entries[0].time, 100u);
+  EXPECT_EQ(uint32_t{sink.chunks[0].entries[0].time}, 100u);
   EXPECT_EQ(sink.chunks[0].entries[1].time, 200u);
   EXPECT_EQ(sink.chunks[1].seq, 1u);
   ASSERT_EQ(sink.chunks[1].entries.size(), 1u);
-  EXPECT_EQ(sink.chunks[1].entries[0].time, 300u);
+  EXPECT_EQ(uint32_t{sink.chunks[1].entries[0].time}, 300u);
   EXPECT_EQ(logger.chunks_sealed(), 2u);
 }
 
@@ -418,11 +419,11 @@ TEST(StreamingCollectionTest, ChunkSealOrderingAtWindowBarriers) {
     for (const LogEntry& e : chunk.entries) {
       auto it = last_time.find(chunk.node);
       if (it != last_time.end()) {
-        EXPECT_GE(e.time, it->second) << "node " << chunk.node;
+        EXPECT_GE(uint32_t{e.time}, it->second) << "node " << chunk.node;
       }
       last_time[chunk.node] = e.time;
       // Sealed entries were logged no later than their barrier.
-      EXPECT_LE(e.time, sink.barrier_of_chunk[i]) << "chunk " << i;
+      EXPECT_LE(uint32_t{e.time}, sink.barrier_of_chunk[i]) << "chunk " << i;
     }
   }
 }
@@ -473,9 +474,12 @@ TEST(StreamingCollectionTest, SpillFileRoundTripEqualsInRamMerge) {
   for (size_t i = 0; i < reference.size(); ++i) {
     ASSERT_EQ((*read_back)[i].type, reference[i].type) << "entry " << i;
     ASSERT_EQ((*read_back)[i].res_id, reference[i].res_id) << "entry " << i;
-    ASSERT_EQ((*read_back)[i].time, reference[i].time) << "entry " << i;
-    ASSERT_EQ((*read_back)[i].icount, reference[i].icount) << "entry " << i;
-    ASSERT_EQ((*read_back)[i].payload, reference[i].payload) << "entry " << i;
+    ASSERT_EQ(uint32_t{(*read_back)[i].time}, uint32_t{reference[i].time})
+        << "entry " << i;
+    ASSERT_EQ(uint32_t{(*read_back)[i].icount}, uint32_t{reference[i].icount})
+        << "entry " << i;
+    ASSERT_EQ(uint64_t{(*read_back)[i].payload}, uint64_t{reference[i].payload})
+        << "entry " << i;
   }
   std::remove(path.c_str());
 }

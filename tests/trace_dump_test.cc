@@ -73,9 +73,9 @@ TEST(TraceDumpTest, ReceivedEntriesMatchLocalArchive) {
   for (size_t i = 0; i < received.size(); ++i) {
     ASSERT_EQ(received[i].type, local[i].type) << "entry " << i;
     ASSERT_EQ(received[i].res_id, local[i].res_id);
-    ASSERT_EQ(received[i].time, local[i].time);
-    ASSERT_EQ(received[i].icount, local[i].icount);
-    ASSERT_EQ(received[i].payload, local[i].payload);
+    ASSERT_EQ(uint32_t{received[i].time}, uint32_t{local[i].time});
+    ASSERT_EQ(uint32_t{received[i].icount}, uint32_t{local[i].icount});
+    ASSERT_EQ(uint64_t{received[i].payload}, uint64_t{local[i].payload});
   }
 }
 

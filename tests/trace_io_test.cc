@@ -52,9 +52,9 @@ TEST(TraceIoTest, RoundTripPreservesEveryField) {
   for (size_t i = 0; i < original.size(); ++i) {
     EXPECT_EQ((*restored)[i].type, original[i].type);
     EXPECT_EQ((*restored)[i].res_id, original[i].res_id);
-    EXPECT_EQ((*restored)[i].time, original[i].time);
-    EXPECT_EQ((*restored)[i].icount, original[i].icount);
-    EXPECT_EQ((*restored)[i].payload, original[i].payload);
+    EXPECT_EQ(uint32_t{(*restored)[i].time}, uint32_t{original[i].time});
+    EXPECT_EQ(uint32_t{(*restored)[i].icount}, uint32_t{original[i].icount});
+    EXPECT_EQ(uint64_t{(*restored)[i].payload}, uint64_t{original[i].payload});
   }
 }
 
@@ -83,7 +83,8 @@ TEST(TraceIoTest, WideLabelsSelectVersionTwo) {
   ASSERT_TRUE(restored.has_value());
   ASSERT_EQ(restored->size(), trace.size());
   for (size_t i = 0; i < trace.size(); ++i) {
-    EXPECT_EQ((*restored)[i].payload, trace[i].payload) << "entry " << i;
+    EXPECT_EQ(uint64_t{(*restored)[i].payload}, uint64_t{trace[i].payload})
+        << "entry " << i;
   }
   EXPECT_EQ(ActivityOrigin(restored->back().payload), 339);
 }
@@ -96,7 +97,8 @@ TEST(TraceIoTest, ForcedV2RoundTripsLegacyTrace) {
   ASSERT_TRUE(restored.has_value());
   ASSERT_EQ(restored->size(), trace.size());
   for (size_t i = 0; i < trace.size(); ++i) {
-    EXPECT_EQ((*restored)[i].payload, trace[i].payload) << "entry " << i;
+    EXPECT_EQ(uint64_t{(*restored)[i].payload}, uint64_t{trace[i].payload})
+        << "entry " << i;
   }
 }
 
@@ -123,7 +125,7 @@ TEST(TraceIoTest, VersionOneBlobParsesToWideLabels) {
   auto restored = DeserializeTrace(blob);
   ASSERT_TRUE(restored.has_value());
   ASSERT_EQ(restored->size(), 1u);
-  EXPECT_EQ((*restored)[0].payload, MakeActivity(4, 3));
+  EXPECT_EQ(uint64_t{(*restored)[0].payload}, MakeActivity(4, 3));
 }
 
 TEST(TraceIoTest, BadMagicRejected) {
@@ -195,10 +197,12 @@ TEST(TraceIoTest, ConcatenatedSegmentsParseAsOneTrace) {
   ASSERT_TRUE(restored.has_value());
   ASSERT_EQ(restored->size(), legacy.size() + wide.size());
   for (size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ((*restored)[i].payload, legacy[i].payload) << "entry " << i;
+    EXPECT_EQ(uint64_t{(*restored)[i].payload}, uint64_t{legacy[i].payload})
+        << "entry " << i;
   }
   for (size_t i = 0; i < wide.size(); ++i) {
-    EXPECT_EQ((*restored)[legacy.size() + i].payload, wide[i].payload)
+    EXPECT_EQ(uint64_t{(*restored)[legacy.size() + i].payload},
+              uint64_t{wide[i].payload})
         << "wide entry " << i;
   }
 }
@@ -259,8 +263,10 @@ TEST(TraceIoTest, FileTraceSinkSpillsSegmentsAndReadsBack) {
   ASSERT_TRUE(restored.has_value());
   ASSERT_EQ(restored->size(), entries.size());
   for (size_t i = 0; i < entries.size(); ++i) {
-    EXPECT_EQ((*restored)[i].payload, entries[i].payload) << "entry " << i;
-    EXPECT_EQ((*restored)[i].time, entries[i].time) << "entry " << i;
+    EXPECT_EQ(uint64_t{(*restored)[i].payload}, uint64_t{entries[i].payload})
+        << "entry " << i;
+    EXPECT_EQ(uint32_t{(*restored)[i].time}, uint32_t{entries[i].time})
+        << "entry " << i;
   }
   std::remove(path.c_str());
 }

@@ -194,9 +194,12 @@ TEST(WideTraceDumpTest, WideRecordsShipAndReassemble) {
   for (size_t i = 0; i < received.size(); ++i) {
     ASSERT_EQ(received[i].type, local[i].type) << "entry " << i;
     ASSERT_EQ(received[i].res_id, local[i].res_id) << "entry " << i;
-    ASSERT_EQ(received[i].time, local[i].time) << "entry " << i;
-    ASSERT_EQ(received[i].icount, local[i].icount) << "entry " << i;
-    ASSERT_EQ(received[i].payload, local[i].payload) << "entry " << i;
+    ASSERT_EQ(uint32_t{received[i].time}, uint32_t{local[i].time})
+        << "entry " << i;
+    ASSERT_EQ(uint32_t{received[i].icount}, uint32_t{local[i].icount})
+        << "entry " << i;
+    ASSERT_EQ(uint64_t{received[i].payload}, uint64_t{local[i].payload})
+        << "entry " << i;
     if (IsActivityEntry(received[i]) &&
         ActivityOrigin(received[i].payload) == 300) {
       saw_wide_label = true;

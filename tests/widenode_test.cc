@@ -155,7 +155,8 @@ TEST(GoldenRegressionTest, GoldenBlobsParseBackExactly) {
   auto legacy = LegacyEntries();
   ASSERT_EQ(parsed1->size(), legacy.size());
   for (size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ((*parsed1)[i].payload, legacy[i].payload) << "entry " << i;
+    EXPECT_EQ(uint64_t{(*parsed1)[i].payload}, uint64_t{legacy[i].payload})
+        << "entry " << i;
   }
   std::vector<uint8_t> v2(kGoldenV2Blob, kGoldenV2Blob + sizeof(kGoldenV2Blob));
   auto parsed2 = DeserializeTrace(v2);
@@ -163,7 +164,8 @@ TEST(GoldenRegressionTest, GoldenBlobsParseBackExactly) {
   auto wide = WideEntries();
   ASSERT_EQ(parsed2->size(), wide.size());
   for (size_t i = 0; i < wide.size(); ++i) {
-    EXPECT_EQ((*parsed2)[i].payload, wide[i].payload) << "entry " << i;
+    EXPECT_EQ(uint64_t{(*parsed2)[i].payload}, uint64_t{wide[i].payload})
+        << "entry " << i;
   }
 }
 
@@ -296,9 +298,12 @@ TEST(WideNodeTest, V3RoundTripsWideOrigins) {
   for (size_t i = 0; i < entries.size(); ++i) {
     EXPECT_EQ((*parsed)[i].type, entries[i].type) << "entry " << i;
     EXPECT_EQ((*parsed)[i].res_id, entries[i].res_id) << "entry " << i;
-    EXPECT_EQ((*parsed)[i].time, entries[i].time) << "entry " << i;
-    EXPECT_EQ((*parsed)[i].icount, entries[i].icount) << "entry " << i;
-    EXPECT_EQ((*parsed)[i].payload, entries[i].payload) << "entry " << i;
+    EXPECT_EQ(uint32_t{(*parsed)[i].time}, uint32_t{entries[i].time})
+        << "entry " << i;
+    EXPECT_EQ(uint32_t{(*parsed)[i].icount}, uint32_t{entries[i].icount})
+        << "entry " << i;
+    EXPECT_EQ(uint64_t{(*parsed)[i].payload}, uint64_t{entries[i].payload})
+        << "entry " << i;
   }
 }
 
@@ -325,7 +330,7 @@ TEST(WideNodeTest, ForcedFormatsUpgradeButRoundTrip) {
     ASSERT_TRUE(parsed.has_value());
     ASSERT_EQ(parsed->size(), legacy.size());
     for (size_t i = 0; i < legacy.size(); ++i) {
-      EXPECT_EQ((*parsed)[i].payload, legacy[i].payload);
+      EXPECT_EQ(uint64_t{(*parsed)[i].payload}, uint64_t{legacy[i].payload});
     }
   }
 }
@@ -340,7 +345,7 @@ TEST(WideNodeTest, Node0xFFFFForcesV3) {
   EXPECT_EQ(TraceSerializationVersion(entries), kTraceVersionWideNode);
   auto parsed = DeserializeTrace(SerializeTrace(entries, TraceFormat::kAuto));
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ((*parsed)[0].payload, label);
+  EXPECT_EQ(uint64_t{(*parsed)[0].payload}, label);
 }
 
 TEST(WideNodeTest, BroadcastMapsAcrossVersions) {
@@ -431,9 +436,12 @@ TEST(WideNodeTest, WideNodeRecordsShipAndReassemble) {
   for (size_t i = 0; i < received.size(); ++i) {
     ASSERT_EQ(received[i].type, local[i].type) << "entry " << i;
     ASSERT_EQ(received[i].res_id, local[i].res_id) << "entry " << i;
-    ASSERT_EQ(received[i].time, local[i].time) << "entry " << i;
-    ASSERT_EQ(received[i].icount, local[i].icount) << "entry " << i;
-    ASSERT_EQ(received[i].payload, local[i].payload) << "entry " << i;
+    ASSERT_EQ(uint32_t{received[i].time}, uint32_t{local[i].time})
+        << "entry " << i;
+    ASSERT_EQ(uint32_t{received[i].icount}, uint32_t{local[i].icount})
+        << "entry " << i;
+    ASSERT_EQ(uint64_t{received[i].payload}, uint64_t{local[i].payload})
+        << "entry " << i;
     if (IsActivityEntry(received[i]) &&
         ActivityOrigin(received[i].payload) == 70000u) {
       saw_wide_node_label = true;

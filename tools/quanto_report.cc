@@ -6,6 +6,10 @@
 //   quanto_report <trace.qnto> [--node N] [--dump] [--read-threads T]
 //                 [--time-range T0:T1] [--nodes A,B,...]
 //                 [--activity L,...] [--summary] [--index-stats]
+//   quanto_report --help
+//
+// An unknown flag, a flag missing its value, or a flag where the trace
+// path belongs prints the usage and exits 2; --help prints it and exits 0.
 //
 // Prints the Section 2.5 regression (per-state draws + collinearity
 // notes), the Table 3-style time and energy breakdowns, and optionally the
@@ -128,11 +132,21 @@ int Summary(const TraceFileReader& reader, const ActivityRegistry& registry) {
   return 0;
 }
 
+constexpr char kUsage[] =
+    "usage: quanto_report <trace.qnto> [--node N] [--dump]"
+    " [--read-threads T] [--time-range T0:T1] [--nodes A,B,...]"
+    " [--activity L,...] [--summary] [--index-stats]\n";
+
 int Run(int argc, char** argv) {
-  if (argc < 2) {
-    std::cerr << "usage: quanto_report <trace.qnto> [--node N] [--dump]"
-                 " [--read-threads T] [--time-range T0:T1] [--nodes A,B,...]"
-                 " [--activity L,...] [--summary] [--index-stats]\n";
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--help") == 0 ||
+        std::strcmp(argv[i], "-h") == 0) {
+      std::cout << kUsage;
+      return 0;
+    }
+  }
+  if (argc < 2 || argv[1][0] == '-') {
+    std::cerr << kUsage;
     return 2;
   }
   std::string path = argv[1];
@@ -171,6 +185,10 @@ int Run(int argc, char** argv) {
       for (uint64_t v : ParseU64List(argv[++i])) {
         query.activities.push_back(static_cast<act_t>(v));
       }
+    } else {
+      std::cerr << "unknown flag or missing value: " << argv[i] << "\n"
+                << kUsage;
+      return 2;
     }
   }
 
