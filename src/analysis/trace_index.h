@@ -5,15 +5,18 @@
 // ("segments", docs/TRACE_FORMAT.md). This module defines a trailing
 // *index block* that summarizes every segment — byte extent, entry count,
 // unwrapped time range, activity-origin membership, per-activity
-// entry/pulse totals — so readers can answer summary queries from the
-// footers alone and decode only the segments a filtered query intersects.
+// entry/pulse rows — plus a file-level table of per-activity totals, so
+// readers can answer summary queries from the block alone and decode only
+// the segments a filtered query intersects.
 //
 // The index is strictly additive: an indexed file is the unindexed file's
 // bytes followed by one index block, located through a fixed-size trailer
 // at end of file. Readers that predate the index parse the data segments
 // and never see it; index-aware readers validate the trailer and block
 // and fall back to a linear scan when either is damaged. The layout is
-// pinned in docs/TRACE_FORMAT.md ("Segment index").
+// pinned in docs/TRACE_FORMAT.md ("Segment index"). Version 2 (varint
+// rows and the totals table) is the one written; version 1 (fixed 20-byte
+// rows, no totals table) is still read.
 //
 // Footer semantics are defined over the *stored* entry stream (the merged
 // single-log view quanto_report analyses), so a full scan of the decoded
@@ -39,8 +42,10 @@
 #define QUANTO_SRC_ANALYSIS_TRACE_INDEX_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/analysis/trace_merge.h"  // StreamIngestState: the one unwrap.
@@ -52,15 +57,20 @@ namespace quanto {
 // Index block framing (all little-endian; see docs/TRACE_FORMAT.md).
 inline constexpr uint8_t kIndexMagic[4] = {'Q', 'N', 'T', 'I'};
 inline constexpr uint8_t kIndexEndMagic[4] = {'Q', 'I', 'D', 'X'};
-inline constexpr uint16_t kIndexVersion = 1;
+// The version the builder writes: varint rows plus the totals table.
+inline constexpr uint16_t kIndexVersion = 2;
+// The first layout, fixed 20-byte rows and no totals table; read only.
+inline constexpr uint16_t kIndexVersionFixedRows = 1;
 // magic | u16 version | u16 reserved | u32 segment_count | u64 total_entries.
 inline constexpr size_t kIndexHeaderBytes = 4 + 2 + 2 + 4 + 8;
 // u64 index_bytes | end magic. Always the last 12 bytes of an indexed file.
 inline constexpr size_t kIndexTrailerBytes = 8 + 4;
-// Fixed part of one segment record (without its activity rows).
+// Fixed part of one segment record, common to both versions.
 inline constexpr size_t kSegmentRecordBytes = 8 + 8 + 4 + 2 + 2 + 8 + 8 + 4 + 4 + 8;
-// One per-activity summary row: u64 label | u32 entries | u64 pulses.
-inline constexpr size_t kActivityRowBytes = 8 + 4 + 8;
+// A version 2 record: the fixed part, then u32 row_count | u32 row_bytes.
+inline constexpr size_t kSegmentRecordBytesV2 = kSegmentRecordBytes + 4 + 4;
+// One version 1 activity row: u64 label | u32 entries | u64 pulses.
+inline constexpr size_t kActivityRowBytesV1 = 8 + 4 + 8;
 
 // Per-activity roll-up within one segment (or across a whole index).
 struct ActivitySummary {
@@ -68,8 +78,10 @@ struct ActivitySummary {
   uint64_t pulses = 0;   // iCount pulses attributed to this activity.
 };
 
-// One segment's footer. `activities` is sorted by label (map order at
-// build time), which the serialized form preserves.
+using ActivityRow = std::pair<act_t, ActivitySummary>;
+
+// One segment's footer. `activities` is sorted by label, as the block
+// stores it.
 struct SegmentFooter {
   uint64_t offset = 0;  // Byte offset of the segment container in the file.
   uint64_t length = 0;  // Byte length of the segment container.
@@ -83,7 +95,7 @@ struct SegmentFooter {
   node_id_t origin_min = kBroadcastAddr;
   node_id_t origin_max = 0;
   uint64_t origin_filter = 0;  // Bit (origin % 64) per origin present.
-  std::vector<std::pair<act_t, ActivitySummary>> activities;
+  std::vector<ActivityRow> activities;
 
   // True when the footer cannot rule the origin out of the segment.
   bool MayContainOrigin(node_id_t origin) const;
@@ -92,25 +104,31 @@ struct SegmentFooter {
   }
 };
 
+// A parsed index block.
 struct TraceIndex {
+  uint16_t version = kIndexVersion;
   uint64_t total_entries = 0;
   std::vector<SegmentFooter> segments;
+  // Bytes the block spends on segment activity rows.
+  uint64_t row_bytes = 0;
+  // Version 2's file-level table: one row per label, ascending, with the
+  // label's entries and pulses summed over every segment. Empty on
+  // version 1.
+  std::vector<ActivityRow> totals;
 
-  // Aggregates the per-segment activity rows — the footer-only answer to
-  // "total entries/pulses per activity".
+  // The footer-only answer to "total entries/pulses per activity": the
+  // totals table on version 2, the segment rows summed on version 1.
   std::map<act_t, ActivitySummary> ActivityTotals() const;
 };
 
-// Serializes an index into its trailing block (header, records, trailer).
-std::vector<uint8_t> SerializeTraceIndex(const TraceIndex& index);
-
-// Parses and validates an index block of exactly `size` bytes (trailer
-// included). `data_bytes` is the byte length of the segment region the
-// index must describe: validation requires the footers to tile
-// [0, data_bytes) contiguously, each length to match its header-derived
-// size, and every count/total to be self-consistent. Returns nullopt on
-// any violation — callers treat that as "no index" and fall back to a
-// linear scan, never as a broken file.
+// Parses and validates an index block (version 1 or 2) of exactly `size`
+// bytes, trailer included. `data_bytes` is the byte length of the segment
+// region the index must describe: validation requires the footers to
+// tile [0, data_bytes) contiguously, each length to match its
+// header-derived size, every count to fit the bytes left in the block
+// (checked before anything is allocated for it), and every total to be
+// self-consistent. Returns nullopt on any violation — callers treat that
+// as "no index" and fall back to a linear scan, never as a broken file.
 std::optional<TraceIndex> ParseTraceIndex(const uint8_t* data, size_t size,
                                           uint64_t data_bytes);
 
@@ -121,6 +139,13 @@ std::optional<TraceIndex> ParseTraceIndex(const uint8_t* data, size_t size,
 // Plausible only means "worth parsing": ParseTraceIndex still validates.
 uint64_t ProbeIndexTrailer(const uint8_t* tail, uint64_t file_size);
 
+// True when `size` bytes that run to the end of a file, and that follow
+// its last complete data segment, are the remains of an index block: they
+// start with the index magic (or, cut short, a prefix of it), or they end
+// in a trailer whose size field counts exactly these bytes. Linear readers
+// skip such a tail (a damaged index) and reject any other.
+bool LooksLikeIndexBlock(const uint8_t* data, size_t size);
+
 // Accumulates footers over an entry stream, segment by segment: Add()
 // every entry in stream order; FinishSegment() when the entries appended
 // since the previous finish have been written as one container at
@@ -128,11 +153,18 @@ uint64_t ProbeIndexTrailer(const uint8_t* tail, uint64_t file_size);
 // activity, the pulse chain) deliberately spans segment boundaries — the
 // footers describe one continuous stream cut into containers.
 //
+// FinishSegment encodes the segment's rows straight into the block's
+// varint form and folds them into the file-level totals; the builder
+// keeps only those bytes, the fixed footers and one flat table per scope,
+// so WriteBlock streams the block without assembling it.
+//
 // The same accumulator defines the full-scan semantics: ScanActivityTotals
 // runs a fresh builder over decoded entries, so "footer totals ==
 // full-scan totals" is an identity, not a hope.
 class TraceIndexBuilder {
  public:
+  using BlockWriter = std::function<void(const uint8_t* data, size_t size)>;
+
   void Add(const LogEntry& e);
 
   // Seals the current segment's footer. `version` is the container
@@ -144,14 +176,46 @@ class TraceIndexBuilder {
   // Entries Added but not yet sealed into a footer.
   uint32_t pending_entries() const { return cur_.count; }
 
-  const TraceIndex& index() const { return index_; }
-  TraceIndex TakeIndex() { return std::move(index_); }
+  // Hands the index block over the sealed segments to `write` piece by
+  // piece, in file order: header, segment records, row bytes, totals
+  // table, trailer. Returns the block's size. The bytes depend only on
+  // the entries and the segment cuts, never on hash-table order.
+  uint64_t WriteBlock(const BlockWriter& write) const;
 
   // The shared full-scan definition of the per-activity totals.
   static std::map<act_t, ActivitySummary> ScanActivityTotals(
       const std::vector<LogEntry>& entries);
 
  private:
+  // Flat open-addressing map from label to its entry and pulse counts:
+  // linear probing, power-of-two capacity, at most half full. Clear()
+  // resets only the slots in use and keeps the storage, so one table
+  // serves every segment.
+  class LabelTable {
+   public:
+    // 24 bytes: the counts sit beside the label rather than in an
+    // ActivitySummary, whose padding would grow the slot to 32.
+    struct Slot {
+      act_t label = 0;
+      uint64_t pulses = 0;
+      uint32_t entries = 0;
+      bool used = false;
+    };
+
+    Slot& operator[](act_t label);
+    // Appends the rows to `rows` in ascending label order.
+    void SortedRows(std::vector<ActivityRow>* rows) const;
+    void Clear();
+
+   private:
+    size_t Home(act_t label) const;
+    void Grow();
+
+    std::vector<Slot> slots_;
+    std::vector<uint32_t> used_;  // Indices of the occupied slots.
+    int shift_ = 64;              // 64 - log2(capacity).
+  };
+
   struct CurrentSegment {
     uint32_t count = 0;
     uint64_t time_min64 = 0;
@@ -159,11 +223,23 @@ class TraceIndexBuilder {
     node_id_t origin_min = kBroadcastAddr;
     node_id_t origin_max = 0;
     uint64_t origin_filter = 0;
-    std::map<act_t, ActivitySummary> activities;
   };
 
-  TraceIndex index_;
+  // A sealed segment: its footer (with `activities` left empty) and its
+  // rows in encoded form.
+  struct SealedSegment {
+    SegmentFooter footer;
+    uint32_t row_count = 0;
+    std::vector<uint8_t> rows;
+  };
+
+  std::vector<SealedSegment> sealed_;
+  uint64_t total_entries_ = 0;
   CurrentSegment cur_;
+  LabelTable rows_;    // The current segment's rows.
+  LabelTable totals_;  // Every sealed segment's rows, summed per label.
+  std::vector<ActivityRow> sorted_;  // FinishSegment's reusable buffer.
+  std::vector<uint8_t> encoded_;     // Likewise.
   // Stream-global state, spanning segments.
   StreamIngestState time_;
   act_t cpu_act_ = 0;  // Label 0 ("0:Idle") until the first CPU set.

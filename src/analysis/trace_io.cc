@@ -195,12 +195,12 @@ std::optional<std::vector<LogEntry>> DeserializeTrace(
   // At least one segment, then as many as the data region holds.
   do {
     if (!ParseSegment(blob.data(), data_bytes, &offset, &entries)) {
-      // Leftover bytes that start an index block are a *damaged* index
-      // (its trailer or content failed validation above): the data
-      // segments before it are intact, so keep them. Any other leftover
-      // rejects the whole blob.
-      if (offset > 0 && data_bytes - offset >= 4 &&
-          std::memcmp(blob.data() + offset, kIndexMagic, 4) == 0) {
+      // Leftover bytes that are the remains of an index block are a
+      // *damaged* index (its trailer or content failed validation above):
+      // the data segments before it are intact, so keep them. Any other
+      // leftover rejects the whole blob.
+      if (offset > 0 &&
+          LooksLikeIndexBlock(blob.data() + offset, data_bytes - offset)) {
         break;
       }
       return std::nullopt;
@@ -302,12 +302,13 @@ bool FileTraceSink::Close() {
   if (ok_ && write_index_) {
     // The trailing index block: data segments are already byte-identical
     // with what an unindexed sink writes; everything from here on is the
-    // appended index.
-    auto blob = SerializeTraceIndex(index_builder_.index());
-    out_.write(reinterpret_cast<const char*>(blob.data()),
-               static_cast<std::streamsize>(blob.size()));
+    // appended index, streamed from the builder piece by piece.
+    index_bytes_written_ =
+        index_builder_.WriteBlock([this](const uint8_t* data, size_t size) {
+          out_.write(reinterpret_cast<const char*>(data),
+                     static_cast<std::streamsize>(size));
+        });
     ok_ = static_cast<bool>(out_);
-    index_bytes_written_ = blob.size();
   }
   if (ok_) {
     out_.flush();

@@ -97,11 +97,11 @@ std::vector<uint8_t> SerializeTrace(const std::vector<LogEntry>& entries,
 //
 // The blob may additionally end in a segment-index block (docs/
 // TRACE_FORMAT.md "Segment index"): a validated index delimits the data
-// region exactly, and a *damaged* index — recognized by its leading
-// "QNTI" magic at the point where segment parsing stops — is ignored with
-// the intact data segments kept. Any other trailing bytes that do not
-// start a valid segment reject the whole blob (a truncated dump is a
-// broken dump).
+// region exactly, and a *damaged* index — recognized by LooksLikeIndexBlock
+// (its "QNTI" head, or a trailer sized to it) at the point where segment
+// parsing stops — is ignored with the intact data segments kept. Any
+// other trailing bytes that do not start a valid segment reject the whole
+// blob (a truncated dump is a broken dump).
 std::optional<std::vector<LogEntry>> DeserializeTrace(
     const std::vector<uint8_t>& blob);
 
@@ -125,10 +125,10 @@ std::optional<std::vector<LogEntry>> ReadTraceFile(const std::string& path);
 // WriteTraceFile on the same entries.
 //
 // With `Options::write_index` set, the sink also accumulates a
-// per-segment footer (time range, origin membership, per-activity
-// totals — see src/analysis/trace_index.h) as entries arrive and appends
-// the index block at Close(). Accumulation happens wherever Append runs —
-// under off-barrier emission that is the EmissionPipeline consumer
+// per-segment footer (time range, origin membership, per-activity rows —
+// see src/analysis/trace_index.h) as entries arrive and streams the index
+// block to the file at Close(). Accumulation happens wherever Append runs
+// — under off-barrier emission that is the EmissionPipeline consumer
 // thread, so indexing adds zero window-barrier cost. The data segments
 // are byte-identical with the index on or off; the index is purely
 // appended.
@@ -166,8 +166,6 @@ class FileTraceSink {
   // Bytes of the appended index block; 0 until Close() (or when not
   // indexing).
   uint64_t index_bytes_written() const { return index_bytes_written_; }
-  // The accumulated footers (complete only after Close()).
-  const TraceIndex& index() const { return index_builder_.index(); }
 
  private:
   void SpillSegment();

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <functional>
 #include <thread>
 
@@ -254,10 +253,10 @@ std::optional<std::vector<LogEntry>> TraceFileReader::ReadLinear(
     }
     if (!parsed) {
       // Same damaged-index tolerance as DeserializeTrace: a leftover tail
-      // that starts an index block is ignored, anything else is a broken
-      // dump.
-      if (segs > 0 && blob.size() - offset >= 4 &&
-          std::memcmp(blob.data() + offset, kIndexMagic, 4) == 0) {
+      // that is the remains of an index block is ignored, anything else
+      // is a broken dump.
+      if (segs > 0 &&
+          LooksLikeIndexBlock(blob.data() + offset, blob.size() - offset)) {
         break;
       }
       return std::nullopt;

@@ -20,7 +20,9 @@
 //    equals filter(ReadAll) exactly — the index only ever skips segments
 //    it can prove are disjoint from the query.
 //  * ActivityTotals — per-activity entry/pulse totals answered from the
-//    footers alone on indexed files (zero segments decoded).
+//    index block alone on indexed files (zero segments decoded): its
+//    file-level totals table, or the summed segment rows of a version 1
+//    index.
 // Unindexed files (and files whose index is damaged) fall back to the
 // linear whole-blob scan for every operation; only the counters differ.
 //
@@ -108,8 +110,8 @@ class TraceFileReader {
       const TraceQuery& query, size_t threads = 1,
       ReadStats* stats = nullptr) const;
 
-  // Per-activity totals. Indexed: aggregated from the footers, decoding
-  // no segment (stats->segments_read == 0). Unindexed: full linear scan
+  // Per-activity totals. Indexed: read from the index block, decoding no
+  // segment (stats->segments_read == 0). Unindexed: full linear scan
   // through TraceIndexBuilder::ScanActivityTotals — the same definition
   // the footers were built with.
   std::optional<std::map<act_t, ActivitySummary>> ActivityTotals(

@@ -5,8 +5,10 @@
 // on synthetic streams and on real grid/chain network spills.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <map>
@@ -83,6 +85,13 @@ void WriteSpill(const std::string& path, const std::vector<LogEntry>& entries,
   ASSERT_TRUE(sink.Close());
 }
 
+// A temporary file of this process: ctest runs a test and the sanitizer
+// aggregate that includes it concurrently, so fixed names would collide.
+std::string TempPath(const std::string& name) {
+  return ::testing::TempDir() + "/" + name + "." +
+         std::to_string(::getpid()) + ".qnto";
+}
+
 std::vector<uint8_t> Slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::vector<uint8_t>((std::istreambuf_iterator<char>(in)),
@@ -132,7 +141,77 @@ void ExpectSameEntries(const std::vector<LogEntry>& got,
   EXPECT_EQ(EntryStreamHash(got), EntryStreamHash(want));
 }
 
+void ExpectSameTotals(const std::map<act_t, ActivitySummary>& got,
+                      const std::map<act_t, ActivitySummary>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (auto g = got.begin(), w = want.begin(); g != got.end(); ++g, ++w) {
+    EXPECT_EQ(g->first, w->first);
+    EXPECT_EQ(g->second.entries, w->second.entries) << "label " << g->first;
+    EXPECT_EQ(g->second.pulses, w->second.pulses) << "label " << g->first;
+  }
+}
+
 // --- Builder + serialized block -------------------------------------------
+
+// The block a builder writes, in one buffer.
+std::vector<uint8_t> BlockBytes(const TraceIndexBuilder& builder) {
+  std::vector<uint8_t> block;
+  uint64_t size = builder.WriteBlock([&block](const uint8_t* data, size_t n) {
+    block.insert(block.end(), data, data + n);
+  });
+  EXPECT_EQ(size, block.size());
+  return block;
+}
+
+// What every reader sees of a builder's footers: its block, parsed.
+TraceIndex ParseBuilt(const TraceIndexBuilder& builder, uint64_t data_bytes) {
+  auto block = BlockBytes(builder);
+  auto parsed = ParseTraceIndex(block.data(), block.size(), data_bytes);
+  EXPECT_TRUE(parsed.has_value()) << "builder block rejected";
+  return parsed.value_or(TraceIndex{});
+}
+
+// Version 1 (fixed 20-byte rows, no totals table), the layout the first
+// indexed spills carry: one segment at [0, 0x24) of 2 v1 records, hand
+// encoded. The program no longer writes it; readers still accept it.
+const std::vector<uint8_t> kGoldenV1Block = {
+    // Header: magic, version 1, reserved, 1 segment, 2 entries.
+    'Q', 'N', 'T', 'I', 1, 0, 0, 0, 1, 0, 0, 0,
+    2, 0, 0, 0, 0, 0, 0, 0,
+    // Segment record: offset 0, length 0x24 (v1: 12 + 2 * 12).
+    0, 0, 0, 0, 0, 0, 0, 0, 0x24, 0, 0, 0, 0, 0, 0, 0,
+    // entries 2, version 1, 1 activity row.
+    2, 0, 0, 0, 1, 0, 1, 0,
+    // time_min64, time_max64 (little-endian).
+    8, 7, 6, 5, 4, 3, 2, 1,
+    0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11,
+    // origin_min 5, origin_max 7, origin_filter 0xA0.
+    5, 0, 0, 0, 7, 0, 0, 0, 0xA0, 0, 0, 0, 0, 0, 0, 0,
+    // Activity row: label (5 << 16 | 2), 1 entry, 10 pulses.
+    2, 0, 5, 0, 0, 0, 0, 0, 1, 0, 0, 0, 10, 0, 0, 0, 0, 0, 0, 0,
+    // Trailer: block size 108 = 20 + 56 + 20 + 12, end magic.
+    108, 0, 0, 0, 0, 0, 0, 0, 'Q', 'I', 'D', 'X',
+};
+
+// The stream behind the version 2 golden block: two v1 segments of two
+// entries, the second crossing a u32 time wrap.
+std::vector<LogEntry> GoldenStream() {
+  return {ActEntry(100, 50, 5, 2),
+          ActEntry(200, 60, 7, 3, LogEntryType::kActivityAdd, kSinkRadioRx),
+          PowerEntry(300, 65), ActEntry(10, 70, 70, 1)};
+}
+
+TraceIndexBuilder GoldenBuilder() {
+  TraceIndexBuilder builder;
+  auto entries = GoldenStream();
+  builder.Add(entries[0]);
+  builder.Add(entries[1]);
+  builder.FinishSegment(0, 36, 1, 2);
+  builder.Add(entries[2]);
+  builder.Add(entries[3]);
+  builder.FinishSegment(36, 36, 1, 2);
+  return builder;
+}
 
 TEST(TraceIndexTest, BuilderFootersDescribeSegments) {
   TraceIndexBuilder builder;
@@ -142,19 +221,20 @@ TEST(TraceIndexTest, BuilderFootersDescribeSegments) {
   builder.Add(ActEntry(100, 50, 5, 2));
   builder.Add(ActEntry(200, 60, 7, 3, LogEntryType::kActivityAdd,
                        kSinkRadioRx));
-  builder.FinishSegment(0, 40, 1, 2);
+  builder.FinishSegment(0, 36, 1, 2);
   // Segment 1: a power entry (no origin), then a wrap in time.
   builder.Add(PowerEntry(300, 65));
   builder.Add(ActEntry(10, 70, 70, 1));  // u32 time wrapped past zero.
-  builder.FinishSegment(40, 44, 2, 2);
+  builder.FinishSegment(36, 40, 2, 2);
 
-  const TraceIndex& index = builder.index();
+  TraceIndex index = ParseBuilt(builder, 76);
+  EXPECT_EQ(index.version, kIndexVersion);
   ASSERT_EQ(index.segments.size(), 2u);
   EXPECT_EQ(index.total_entries, 4u);
 
   const SegmentFooter& s0 = index.segments[0];
   EXPECT_EQ(s0.offset, 0u);
-  EXPECT_EQ(s0.length, 40u);
+  EXPECT_EQ(s0.length, 36u);
   EXPECT_EQ(s0.entries, 2u);
   EXPECT_EQ(s0.container_version, 1u);
   EXPECT_EQ(s0.time_min64, 100u);
@@ -177,6 +257,8 @@ TEST(TraceIndexTest, BuilderFootersDescribeSegments) {
   EXPECT_FALSE(s0.OverlapsTime(201, 400));
 
   const SegmentFooter& s1 = index.segments[1];
+  EXPECT_EQ(s1.offset, 36u);
+  EXPECT_EQ(s1.container_version, 2u);
   // The unwrap chain spans segments: the wrapped entry lands past 2^32.
   EXPECT_EQ(s1.time_min64, 300u);
   EXPECT_EQ(s1.time_max64, (uint64_t{1} << 32) | 10u);
@@ -188,57 +270,99 @@ TEST(TraceIndexTest, BuilderFootersDescribeSegments) {
   EXPECT_EQ(s1.activities[0].first, MakeActivity(5, 2));
   EXPECT_EQ(s1.activities[0].second.entries, 0u);
   EXPECT_EQ(s1.activities[0].second.pulses, 10u);
+
+  // The file-level table sums the rows of both segments.
+  ASSERT_EQ(index.totals.size(), 3u);
+  EXPECT_EQ(index.totals[0].first, MakeActivity(5, 2));
+  EXPECT_EQ(index.totals[0].second.entries, 1u);
+  EXPECT_EQ(index.totals[0].second.pulses, 20u);
+  EXPECT_EQ(index.totals[2].first, MakeActivity(70, 1));
+  EXPECT_EQ(index.totals[2].second.entries, 1u);
 }
 
 TEST(TraceIndexTest, GoldenIndexBlockBytes) {
-  // The serialized block, byte for byte, for a hand-built one-segment
-  // index — pins the layout docs/TRACE_FORMAT.md documents. Any codec
-  // change that reshapes the block must show up here.
-  TraceIndex index;
-  index.total_entries = 2;
-  SegmentFooter seg;
-  seg.offset = 0;
-  seg.length = 0x24;
-  seg.entries = 2;
-  seg.container_version = 1;
-  seg.time_min64 = 0x0102030405060708ull;
-  seg.time_max64 = 0x1112131415161718ull;
-  seg.origin_min = 5;
-  seg.origin_max = 7;
-  seg.origin_filter = 0xA0;
-  seg.activities.push_back(
-      {MakeActivity(5, 2), ActivitySummary{1, 10}});
-  index.segments.push_back(seg);
-
-  auto blob = SerializeTraceIndex(index);
+  // The block the builder writes, byte for byte — pins the version 2
+  // layout docs/TRACE_FORMAT.md documents. Any codec change that reshapes
+  // the block must show up here.
+  auto blob = BlockBytes(GoldenBuilder());
   std::vector<uint8_t> expected = {
-      // Header: magic, version 1, reserved, 1 segment, 2 entries.
-      'Q', 'N', 'T', 'I', 1, 0, 0, 0, 1, 0, 0, 0,
-      2, 0, 0, 0, 0, 0, 0, 0,
-      // Segment record: offset 0, length 0x24 (v1: 12 + 2 * 12).
-      0, 0, 0, 0, 0, 0, 0, 0, 0x24, 0, 0, 0, 0, 0, 0, 0,
-      // entries 2, version 1, 1 activity row.
-      2, 0, 0, 0, 1, 0, 1, 0,
-      // time_min64, time_max64 (little-endian).
-      8, 7, 6, 5, 4, 3, 2, 1,
-      0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11,
-      // origin_min 5, origin_max 7, origin_filter 0xA0.
+      // Header: magic, version 2, reserved, 2 segments, 4 entries.
+      'Q', 'N', 'T', 'I', 2, 0, 0, 0, 2, 0, 0, 0,
+      4, 0, 0, 0, 0, 0, 0, 0,
+      // Record 0: offset 0, length 36 (v1: 12 + 2 * 12).
+      0, 0, 0, 0, 0, 0, 0, 0, 36, 0, 0, 0, 0, 0, 0, 0,
+      // entries 2, container version 1, reserved.
+      2, 0, 0, 0, 1, 0, 0, 0,
+      // time_min64 100, time_max64 200.
+      100, 0, 0, 0, 0, 0, 0, 0, 200, 0, 0, 0, 0, 0, 0, 0,
+      // origin_min 5, origin_max 7, origin_filter bits 5 and 7.
       5, 0, 0, 0, 7, 0, 0, 0, 0xA0, 0, 0, 0, 0, 0, 0, 0,
-      // Activity row: label (5 << 16 | 2), 1 entry, 10 pulses.
-      2, 0, 5, 0, 0, 0, 0, 0, 1, 0, 0, 0, 10, 0, 0, 0, 0, 0, 0, 0,
-      // Trailer: block size 108 = 20 + 56 + 20 + 12, end magic.
-      108, 0, 0, 0, 0, 0, 0, 0, 'Q', 'I', 'D', 'X',
+      // row_count 2, row_bytes 9.
+      2, 0, 0, 0, 9, 0, 0, 0,
+      // Record 1: offset 36, length 36, entries 2, version 1, reserved.
+      36, 0, 0, 0, 0, 0, 0, 0, 36, 0, 0, 0, 0, 0, 0, 0,
+      2, 0, 0, 0, 1, 0, 0, 0,
+      // time_min64 300, time_max64 2^32 + 10 (the wrap).
+      0x2C, 1, 0, 0, 0, 0, 0, 0, 10, 0, 0, 0, 1, 0, 0, 0,
+      // origin_min = origin_max = 70, origin_filter bit 70 % 64.
+      70, 0, 0, 0, 70, 0, 0, 0, 0x40, 0, 0, 0, 0, 0, 0, 0,
+      // row_count 2, row_bytes 10.
+      2, 0, 0, 0, 10, 0, 0, 0,
+      // Segment 0 rows. Label (5, 2) = 0x50002 as a varint; 1 entry with
+      // pulses (1 * 2 + 1); 10 pulses.
+      0x82, 0x80, 0x14, 3, 10,
+      // Label (7, 3), +0x20001 from (5, 2); 1 entry, no pulses (1 * 2).
+      0x81, 0x80, 0x08, 2,
+      // Segment 1 rows, deltas restarting from 0: (5, 2) with no entries
+      // and 10 pulses, then (70, 1) at +0x40FFFF with 1 entry.
+      0x82, 0x80, 0x14, 1, 10,
+      0xFF, 0xFF, 0x83, 0x02, 2,
+      // Totals table: 3 labels. (5, 2): 1 entry, 20 pulses; (7, 3): 1
+      // entry; (70, 1) at +0x3EFFFE: 1 entry.
+      3, 0, 0, 0,
+      0x82, 0x80, 0x14, 3, 20,
+      0x81, 0x80, 0x08, 2,
+      0xFE, 0xFF, 0xFB, 0x01, 2,
+      // Trailer: block size 197 = 20 + 2 * 64 + 19 + 18 + 12, end magic.
+      197, 0, 0, 0, 0, 0, 0, 0, 'Q', 'I', 'D', 'X',
   };
   EXPECT_EQ(blob, expected);
 
-  auto parsed = ParseTraceIndex(blob.data(), blob.size(), 0x24);
+  auto parsed = ParseTraceIndex(blob.data(), blob.size(), 72);
   ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->version, 2u);
+  EXPECT_EQ(parsed->total_entries, 4u);
+  EXPECT_EQ(parsed->row_bytes, 19u);
+  ASSERT_EQ(parsed->segments.size(), 2u);
+  ASSERT_EQ(parsed->segments[1].activities.size(), 2u);
+  EXPECT_EQ(parsed->segments[1].activities[1].first, MakeActivity(70, 1));
+  auto totals = parsed->ActivityTotals();
+  ASSERT_EQ(totals.size(), 3u);
+  EXPECT_EQ(totals[MakeActivity(5, 2)].pulses, 20u);
+}
+
+TEST(TraceIndexTest, Version1GoldenBlockStillParses) {
+  auto parsed = ParseTraceIndex(kGoldenV1Block.data(), kGoldenV1Block.size(),
+                                0x24);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->version, kIndexVersionFixedRows);
   EXPECT_EQ(parsed->total_entries, 2u);
+  EXPECT_EQ(parsed->row_bytes, 20u);
+  EXPECT_TRUE(parsed->totals.empty());
   ASSERT_EQ(parsed->segments.size(), 1u);
-  EXPECT_EQ(parsed->segments[0].time_min64, seg.time_min64);
-  EXPECT_EQ(parsed->segments[0].origin_filter, seg.origin_filter);
-  ASSERT_EQ(parsed->segments[0].activities.size(), 1u);
-  EXPECT_EQ(parsed->segments[0].activities[0].second.pulses, 10u);
+  const SegmentFooter& seg = parsed->segments[0];
+  EXPECT_EQ(seg.length, 0x24u);
+  EXPECT_EQ(seg.time_min64, 0x0102030405060708ull);
+  EXPECT_EQ(seg.time_max64, 0x1112131415161718ull);
+  EXPECT_EQ(seg.origin_filter, 0xA0u);
+  ASSERT_EQ(seg.activities.size(), 1u);
+  EXPECT_EQ(seg.activities[0].first, MakeActivity(5, 2));
+  EXPECT_EQ(seg.activities[0].second.entries, 1u);
+  EXPECT_EQ(seg.activities[0].second.pulses, 10u);
+  // Without a totals table, the totals are the summed rows.
+  auto totals = parsed->ActivityTotals();
+  ASSERT_EQ(totals.size(), 1u);
+  EXPECT_EQ(totals[MakeActivity(5, 2)].pulses, 10u);
 }
 
 TEST(TraceIndexTest, ParseRejectsCorruptBlocks) {
@@ -255,8 +379,12 @@ TEST(TraceIndexTest, ParseRejectsCorruptBlocks) {
   }
   builder.FinishSegment(seg_len, seg_len, 3, 32);
   uint64_t data_bytes = 2 * seg_len;
-  auto good = SerializeTraceIndex(builder.index());
-  ASSERT_TRUE(ParseTraceIndex(good.data(), good.size(), data_bytes));
+  auto good = BlockBytes(builder);
+  auto parsed = ParseTraceIndex(good.data(), good.size(), data_bytes);
+  ASSERT_TRUE(parsed.has_value());
+  size_t record1 = kIndexHeaderBytes + kSegmentRecordBytesV2;
+  size_t totals_at = kIndexHeaderBytes + 2 * kSegmentRecordBytesV2 +
+                     static_cast<size_t>(parsed->row_bytes);
 
   auto mutate = [&](size_t at, uint8_t value) {
     auto blob = good;
@@ -265,11 +393,26 @@ TEST(TraceIndexTest, ParseRejectsCorruptBlocks) {
   };
   EXPECT_FALSE(mutate(0, 'X'));                  // Magic.
   EXPECT_FALSE(mutate(4, 9));                    // Version.
+  EXPECT_FALSE(mutate(6, 1));                    // Reserved header field.
   EXPECT_FALSE(mutate(8, 7));                    // Segment count.
   EXPECT_FALSE(mutate(12, 99));                  // Total entries.
   EXPECT_FALSE(mutate(20, 1));                   // Segment 0 offset != 0.
+  EXPECT_FALSE(mutate(20 + 22, 1));              // Reserved record field.
+  EXPECT_FALSE(mutate(record1 + 56, 0xFF));      // Segment 1 row count.
+  EXPECT_FALSE(mutate(record1 + 60, 0));         // Segment 1 row bytes.
+  EXPECT_FALSE(mutate(totals_at, 0xFF));         // Totals label count.
+  // The last totals row's last byte: the table no longer sums the rows.
+  size_t last = good.size() - kIndexTrailerBytes - 1;
+  EXPECT_FALSE(mutate(last, good[last] ^ 1));
   EXPECT_FALSE(mutate(good.size() - 1, 'x'));    // End magic.
   EXPECT_FALSE(mutate(good.size() - 12, 0xFF));  // Trailer size.
+  // Counts the bytes left cannot hold reject before anything is reserved.
+  for (size_t at : {size_t{8}, record1 + 56, totals_at}) {
+    auto blob = good;
+    std::memset(blob.data() + at, 0xFF, 4);
+    EXPECT_FALSE(ParseTraceIndex(blob.data(), blob.size(), data_bytes))
+        << "count at byte " << at;
+  }
   // Truncation and a lying data_bytes both reject.
   EXPECT_FALSE(ParseTraceIndex(good.data(), good.size() - 1, data_bytes));
   EXPECT_FALSE(ParseTraceIndex(good.data(), good.size(), data_bytes - 16));
@@ -278,16 +421,18 @@ TEST(TraceIndexTest, ParseRejectsCorruptBlocks) {
 TEST(TraceIndexTest, ActivityTotalsMatchFullScan) {
   auto entries = SyntheticStream(5000);
   TraceIndexBuilder builder;
-  size_t sealed = 0;
+  uint64_t offset = 0;
   for (size_t i = 0; i < entries.size(); ++i) {
     builder.Add(entries[i]);
     if (builder.pending_entries() == 777 || i + 1 == entries.size()) {
       uint32_t count = builder.pending_entries();
-      builder.FinishSegment(sealed * 1000, 1000, 3, count);
-      ++sealed;
+      uint64_t length = kTraceContainerHeaderBytes + uint64_t{count} * 16;
+      builder.FinishSegment(offset, length, 3, count);
+      offset += length;
     }
   }
-  auto footer_totals = builder.index().ActivityTotals();
+  TraceIndex index = ParseBuilt(builder, offset);
+  auto footer_totals = index.ActivityTotals();
   auto scan_totals = TraceIndexBuilder::ScanActivityTotals(entries);
   ASSERT_EQ(footer_totals.size(), scan_totals.size());
   for (const auto& [act, row] : scan_totals) {
@@ -296,14 +441,47 @@ TEST(TraceIndexTest, ActivityTotalsMatchFullScan) {
     EXPECT_EQ(it->second.entries, row.entries);
     EXPECT_EQ(it->second.pulses, row.pulses);
   }
+  // The totals table and the summed segment rows agree.
+  index.version = kIndexVersionFixedRows;
+  auto summed_rows = index.ActivityTotals();
+  ASSERT_EQ(summed_rows.size(), footer_totals.size());
+  for (const auto& [act, row] : footer_totals) {
+    EXPECT_EQ(summed_rows[act].entries, row.entries);
+    EXPECT_EQ(summed_rows[act].pulses, row.pulses);
+  }
+}
+
+TEST(TraceIndexTest, BlockBytesIgnoreLabelArrivalOrder) {
+  // The same rows, labels arriving in opposite orders and numerous enough
+  // to grow the builder's table several times: the blocks are identical.
+  TraceIndexBuilder forward;
+  TraceIndexBuilder backward;
+  constexpr uint32_t kLabels = 500;
+  uint64_t length = kTraceContainerHeaderBytes + kLabels * 14;  // v2 records.
+  for (uint16_t seg = 0; seg < 3; ++seg) {
+    for (uint32_t i = 0; i < kLabels; ++i) {
+      forward.Add(ActEntry(1000, 7, 1 + i, 1 + seg,
+                           LogEntryType::kActivityAdd, kSinkRadioRx));
+      backward.Add(ActEntry(1000, 7, kLabels - i, 1 + seg,
+                            LogEntryType::kActivityAdd, kSinkRadioRx));
+    }
+    forward.FinishSegment(seg * length, length, 2, kLabels);
+    backward.FinishSegment(seg * length, length, 2, kLabels);
+  }
+  auto block = BlockBytes(forward);
+  EXPECT_EQ(block, BlockBytes(backward));
+  TraceIndex index = ParseBuilt(forward, 3 * length);
+  ASSERT_EQ(index.segments.size(), 3u);
+  EXPECT_EQ(index.segments[2].activities.size(), kLabels);
+  EXPECT_EQ(index.totals.size(), 3 * kLabels);
 }
 
 // --- Indexed spill files ---------------------------------------------------
 
 TEST(IndexedSpillTest, IndexedFileIsUnindexedFilePlusBlock) {
   auto entries = SyntheticStream(3000);
-  std::string plain = ::testing::TempDir() + "/plain.qnto";
-  std::string indexed = ::testing::TempDir() + "/indexed.qnto";
+  std::string plain = TempPath("plain");
+  std::string indexed = TempPath("indexed");
   WriteSpill(plain, entries, 256, false);
   WriteSpill(indexed, entries, 256, true);
 
@@ -333,7 +511,7 @@ TEST(IndexedSpillTest, IndexedFileIsUnindexedFilePlusBlock) {
 }
 
 TEST(IndexedSpillTest, EmptyIndexedSpillRoundTrips) {
-  std::string path = ::testing::TempDir() + "/empty_indexed.qnto";
+  std::string path = TempPath("empty_indexed");
   WriteSpill(path, {}, 256, true);
   auto restored = ReadTraceFile(path);
   ASSERT_TRUE(restored.has_value());
@@ -349,7 +527,7 @@ TEST(IndexedSpillTest, EmptyIndexedSpillRoundTrips) {
 
 TEST(IndexedSpillTest, DamagedIndexFallsBackToLinearScan) {
   auto entries = SyntheticStream(2000);
-  std::string path = ::testing::TempDir() + "/damaged.qnto";
+  std::string path = TempPath("damaged");
   WriteSpill(path, entries, 256, true);
   auto bytes = Slurp(path);
   uint64_t index_bytes = 0;
@@ -403,7 +581,7 @@ TEST(IndexedSpillTest, ArbitraryTrailingGarbageStillRejected) {
   // The index tolerance must not weaken the original strictness: a tail
   // that is not an index block still fails the whole parse.
   auto entries = SyntheticStream(300);
-  std::string path = ::testing::TempDir() + "/garbage.qnto";
+  std::string path = TempPath("garbage");
   WriteSpill(path, entries, 256, false);
   auto bytes = Slurp(path);
   bytes.push_back(0xFF);
@@ -417,11 +595,251 @@ TEST(IndexedSpillTest, ArbitraryTrailingGarbageStillRejected) {
   std::remove(path.c_str());
 }
 
+void WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
+}
+
+std::vector<uint8_t> Concat(std::vector<uint8_t> head,
+                            const std::vector<uint8_t>& tail) {
+  head.insert(head.end(), tail.begin(), tail.end());
+  return head;
+}
+
+TEST(IndexedSpillTest, HostileSegmentCountIsRejectedNotAllocated) {
+  // 44 bytes: an empty v1 container, then an index header that claims
+  // 0xFFFFFFFF segments, then a trailer that frames the 32-byte block.
+  // The count is refused for want of bytes, before any allocation.
+  for (uint8_t version : {1, 2}) {
+    std::vector<uint8_t> block = {
+        'Q', 'N', 'T', 'I', version, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF,
+        0, 0, 0, 0, 0, 0, 0, 0,
+        32, 0, 0, 0, 0, 0, 0, 0, 'Q', 'I', 'D', 'X'};
+    auto bytes = Concat(SerializeTrace({}), block);
+    ASSERT_EQ(bytes.size(), 44u);
+    EXPECT_FALSE(ParseTraceIndex(block.data(), block.size(),
+                                 kTraceContainerHeaderBytes));
+    std::string path = TempPath("hostile");
+    WriteBytes(path, bytes);
+    TraceFileReader reader(path);
+    ASSERT_TRUE(reader.ok());
+    EXPECT_FALSE(reader.has_index());
+    EXPECT_NE(reader.index_note().find("rejected"), std::string::npos);
+    auto all = reader.ReadAll();
+    ASSERT_TRUE(all.has_value()) << "version " << int{version};
+    EXPECT_TRUE(all->empty());
+    auto restored = ReadTraceFile(path);
+    ASSERT_TRUE(restored.has_value()) << "version " << int{version};
+    EXPECT_TRUE(restored->empty());
+    std::remove(path.c_str());
+  }
+}
+
+TEST(IndexedSpillTest, SegmentWithMoreThan65535RowsStaysIndexed) {
+  // 70 000 distinct labels in one segment: more rows than version 1's
+  // u16 row count could hold. A constant iCount keeps pulses out, so
+  // there is exactly one row per label.
+  std::vector<LogEntry> entries;
+  for (uint32_t i = 0; i < 70000; ++i) {
+    entries.push_back(ActEntry(1000 + i, 7, 1 + i / 1000,
+                               static_cast<act_id_t>(1 + i % 1000)));
+  }
+  std::string path = TempPath("wide_segment");
+  WriteSpill(path, entries, 70000, true);
+  TraceFileReader reader(path);
+  ASSERT_TRUE(reader.ok());
+  ASSERT_TRUE(reader.has_index()) << reader.index_note();
+  ASSERT_EQ(reader.index().segments.size(), 1u);
+  EXPECT_EQ(reader.index().segments[0].activities.size(), 70000u);
+  ReadStats stats;
+  auto totals = reader.ActivityTotals(&stats);
+  ASSERT_TRUE(totals.has_value());
+  EXPECT_EQ(stats.segments_read, 0u);
+  EXPECT_EQ(totals->size(), 70000u);
+  ExpectSameTotals(*totals, TraceIndexBuilder::ScanActivityTotals(entries));
+  std::remove(path.c_str());
+}
+
+// A parsed index hand-encoded in the version 1 layout (each record's
+// fixed part, then its 20-byte rows; no totals table). Test-side only:
+// the program writes version 2 and reads both.
+std::vector<uint8_t> EncodeVersion1Block(const TraceIndex& index) {
+  std::vector<uint8_t> out;
+  auto put = [&out](uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    }
+  };
+  out.insert(out.end(), std::begin(kIndexMagic), std::end(kIndexMagic));
+  put(kIndexVersionFixedRows, 2);
+  put(0, 2);
+  put(index.segments.size(), 4);
+  put(index.total_entries, 8);
+  for (const SegmentFooter& seg : index.segments) {
+    put(seg.offset, 8);
+    put(seg.length, 8);
+    put(seg.entries, 4);
+    put(seg.container_version, 2);
+    put(seg.activities.size(), 2);
+    put(seg.time_min64, 8);
+    put(seg.time_max64, 8);
+    put(seg.origin_min, 4);
+    put(seg.origin_max, 4);
+    put(seg.origin_filter, 8);
+    for (const auto& [act, row] : seg.activities) {
+      put(act, 8);
+      put(row.entries, 4);
+      put(row.pulses, 8);
+    }
+  }
+  put(out.size() + kIndexTrailerBytes, 8);
+  out.insert(out.end(), std::begin(kIndexEndMagic), std::end(kIndexEndMagic));
+  return out;
+}
+
+TEST(IndexedSpillTest, Version1IndexedFileStillServesQueries) {
+  auto entries = SyntheticStream(20000);
+  std::string plain = TempPath("v1_plain");
+  std::string indexed = TempPath("v1_source");
+  WriteSpill(plain, entries, 512, false);
+  WriteSpill(indexed, entries, 512, true);
+  auto plain_bytes = Slurp(plain);
+  auto indexed_bytes = Slurp(indexed);
+  auto current = ParseTraceIndex(indexed_bytes.data() + plain_bytes.size(),
+                                 indexed_bytes.size() - plain_bytes.size(),
+                                 plain_bytes.size());
+  ASSERT_TRUE(current.has_value());
+  WriteBytes(indexed, Concat(plain_bytes, EncodeVersion1Block(*current)));
+
+  TraceFileReader reader(indexed);
+  ASSERT_TRUE(reader.ok());
+  ASSERT_TRUE(reader.has_index()) << reader.index_note();
+  EXPECT_EQ(reader.index().version, kIndexVersionFixedRows);
+  EXPECT_EQ(reader.data_bytes(), plain_bytes.size());
+  auto all = reader.ReadAll(2);
+  ASSERT_TRUE(all.has_value());
+  ExpectSameEntries(*all, entries);
+  auto restored = ReadTraceFile(indexed);
+  ASSERT_TRUE(restored.has_value());
+  ExpectSameEntries(*restored, entries);
+
+  // The footers still prune: an origin no entry carries decodes nothing,
+  // and an activity filter reads only the segments whose rows list it.
+  TraceQuery absent;
+  absent.origins = {401};
+  ReadStats absent_stats;
+  auto none = reader.ReadFiltered(absent, 1, &absent_stats);
+  ASSERT_TRUE(none.has_value());
+  EXPECT_TRUE(none->empty());
+  EXPECT_EQ(absent_stats.segments_read, 0u);
+  TraceQuery by_act;
+  by_act.activities = {MakeActivity(3, 4)};
+  ReadStats act_stats;
+  auto act_hits = reader.ReadFiltered(by_act, 2, &act_stats);
+  ASSERT_TRUE(act_hits.has_value());
+  ExpectSameEntries(*act_hits, FilterFullScan(entries, by_act));
+  EXPECT_LT(act_stats.segments_read, act_stats.segments_total);
+
+  ReadStats summary_stats;
+  auto totals = reader.ActivityTotals(&summary_stats);
+  ASSERT_TRUE(totals.has_value());
+  EXPECT_EQ(summary_stats.segments_read, 0u);
+  ExpectSameTotals(*totals, TraceIndexBuilder::ScanActivityTotals(entries));
+  std::remove(plain.c_str());
+  std::remove(indexed.c_str());
+}
+
+// Every truncation and every single-bit flip of `block`, an index over
+// `data` (the bytes of an unindexed spill of `want`). ParseTraceIndex
+// must accept or reject each one without crashing, over-reading (the
+// parser sees a buffer exactly as long as the mutated block) or
+// allocating past the block's size; and the file data + mutated block
+// must still read back exactly `want`, index or no index.
+void SweepIndexMutations(const std::vector<uint8_t>& data,
+                         const std::vector<uint8_t>& block,
+                         const std::vector<LogEntry>& want,
+                         const std::string& name) {
+  ASSERT_TRUE(ParseTraceIndex(block.data(), block.size(), data.size()));
+  std::string path = TempPath(name);
+  size_t accepted = 0;
+  auto check = [&](const std::vector<uint8_t>& mutated,
+                   const std::string& what) {
+    auto parsed = ParseTraceIndex(mutated.data(), mutated.size(), data.size());
+    WriteBytes(path, Concat(data, mutated));
+    TraceFileReader reader(path);
+    ASSERT_TRUE(reader.ok()) << what;
+    EXPECT_EQ(reader.has_index(), parsed.has_value()) << what;
+    accepted += reader.has_index() ? 1 : 0;
+    auto all = reader.ReadAll();
+    ASSERT_TRUE(all.has_value()) << what << ": " << reader.index_note();
+    ASSERT_EQ(all->size(), want.size()) << what;
+    EXPECT_EQ(EntryStreamHash(*all), EntryStreamHash(want)) << what;
+    EXPECT_TRUE(reader.ActivityTotals().has_value()) << what;
+    auto restored = ReadTraceFile(path);
+    ASSERT_TRUE(restored.has_value()) << what;
+    EXPECT_EQ(EntryStreamHash(*restored), EntryStreamHash(want)) << what;
+  };
+  for (size_t len = 0; len < block.size(); ++len) {
+    std::vector<uint8_t> cut(block.begin(),
+                             block.begin() + static_cast<std::ptrdiff_t>(len));
+    EXPECT_FALSE(ParseTraceIndex(cut.data(), cut.size(), data.size()))
+        << "cut to " << len;
+    check(cut, "cut to " + std::to_string(len));
+  }
+  for (size_t bit = 0; bit < block.size() * 8; ++bit) {
+    auto flipped = block;
+    flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    check(flipped, "bit " + std::to_string(bit));
+  }
+  // The sweep reaches both outcomes: flips in free-form footer fields
+  // (times, origins) still validate, structural ones do not.
+  EXPECT_GT(accepted, 0u) << name;
+  EXPECT_LT(accepted, block.size() * 8) << name;
+  std::remove(path.c_str());
+}
+
+TEST(IndexedSpillTest, MutatedVersion1GoldenBlockParsesOrFallsBack) {
+  std::vector<LogEntry> want = {
+      ActEntry(100, 50, 5, 2),
+      ActEntry(200, 60, 7, 3, LogEntryType::kActivityAdd, kSinkRadioRx)};
+  auto data = SerializeTrace(want);
+  ASSERT_EQ(data.size(), 0x24u);
+  SweepIndexMutations(data, kGoldenV1Block, want, "sweep_v1");
+}
+
+TEST(IndexedSpillTest, MutatedVersion2GoldenBlockParsesOrFallsBack) {
+  auto want = GoldenStream();
+  std::string plain = TempPath("golden_plain");
+  WriteSpill(plain, want, 2, false);
+  auto data = Slurp(plain);
+  ASSERT_EQ(data.size(), 72u);
+  SweepIndexMutations(data, BlockBytes(GoldenBuilder()), want,
+                      "sweep_v2");
+  std::remove(plain.c_str());
+}
+
+TEST(IndexedSpillTest, MutatedMultiSegmentBlockParsesOrFallsBack) {
+  auto want = SyntheticStream(60);
+  std::string plain = TempPath("multi_plain");
+  std::string indexed = TempPath("multi_indexed");
+  WriteSpill(plain, want, 16, false);
+  WriteSpill(indexed, want, 16, true);
+  auto data = Slurp(plain);
+  auto whole = Slurp(indexed);
+  std::vector<uint8_t> block(whole.begin() +
+                                 static_cast<std::ptrdiff_t>(data.size()),
+                             whole.end());
+  SweepIndexMutations(data, block, want, "sweep_multi");
+  std::remove(plain.c_str());
+  std::remove(indexed.c_str());
+}
+
 // --- The read path on synthetic spills -------------------------------------
 
 TEST(TraceReadPathTest, ParallelDecodeByteIdenticalAt124Threads) {
   auto entries = SyntheticStream(50000);  // Spans a u32 time wrap.
-  std::string path = ::testing::TempDir() + "/par.qnto";
+  std::string path = TempPath("par");
   WriteSpill(path, entries, 1000, true);
   TraceFileReader reader(path);
   ASSERT_TRUE(reader.ok());
@@ -443,7 +861,7 @@ TEST(TraceReadPathTest, ParallelDecodeByteIdenticalAt124Threads) {
 
 TEST(TraceReadPathTest, TimeRangeQuerySkipsAndMatchesFullScan) {
   auto entries = SyntheticStream(50000);
-  std::string path = ::testing::TempDir() + "/range.qnto";
+  std::string path = TempPath("range");
   WriteSpill(path, entries, 1000, true);
   TraceFileReader reader(path);
   ASSERT_TRUE(reader.ok());
@@ -484,7 +902,7 @@ TEST(TraceReadPathTest, TimeRangeQuerySkipsAndMatchesFullScan) {
 
 TEST(TraceReadPathTest, OriginAndActivityFiltersMatchFullScan) {
   auto entries = SyntheticStream(20000);
-  std::string path = ::testing::TempDir() + "/filters.qnto";
+  std::string path = TempPath("filters");
   WriteSpill(path, entries, 512, true);
   TraceFileReader reader(path);
   ASSERT_TRUE(reader.ok());
@@ -530,8 +948,8 @@ TEST(TraceReadPathTest, OriginAndActivityFiltersMatchFullScan) {
 
 TEST(TraceReadPathTest, SummaryAnswersFromFootersWithoutDecoding) {
   auto entries = SyntheticStream(20000);
-  std::string indexed = ::testing::TempDir() + "/sum_indexed.qnto";
-  std::string plain = ::testing::TempDir() + "/sum_plain.qnto";
+  std::string indexed = TempPath("sum_indexed");
+  std::string plain = TempPath("sum_plain");
   WriteSpill(indexed, entries, 512, true);
   WriteSpill(plain, entries, 512, false);
 
@@ -568,7 +986,7 @@ TEST(TraceReadPathTest, SummaryAnswersFromFootersWithoutDecoding) {
 
 TEST(TraceReadPathTest, UnindexedFileServesEveryQueryLinearly) {
   auto entries = SyntheticStream(10000);
-  std::string path = ::testing::TempDir() + "/linear.qnto";
+  std::string path = TempPath("linear");
   WriteSpill(path, entries, 512, false);
   TraceFileReader reader(path);
   ASSERT_TRUE(reader.ok());
@@ -701,7 +1119,7 @@ void CheckNetworkSpillReadPath(const std::string& path,
 }
 
 TEST(TraceReadPathTest, GridNetworkSpillFilteredQueriesMatchFullScan) {
-  std::string path = ::testing::TempDir() + "/grid_indexed.qnto";
+  std::string path = TempPath("grid_indexed");
   auto reference =
       RunIndexedNetworkSpill(path, ScaleTopology::kGrid, 96, 2, 1.0, 256);
   ASSERT_GT(reference.size(), 2000u);
@@ -710,7 +1128,7 @@ TEST(TraceReadPathTest, GridNetworkSpillFilteredQueriesMatchFullScan) {
 }
 
 TEST(TraceReadPathTest, ChainNetworkSpillFilteredQueriesMatchFullScan) {
-  std::string path = ::testing::TempDir() + "/chain_indexed.qnto";
+  std::string path = TempPath("chain_indexed");
   auto reference =
       RunIndexedNetworkSpill(path, ScaleTopology::kChain, 48, 1, 1.0, 256);
   ASSERT_GT(reference.size(), 1000u);

@@ -16,9 +16,10 @@
 // raw decoded entries. Reads go through TraceFileReader: indexed spill
 // files decode segment by segment (in parallel with --read-threads N,
 // byte-identical output at any N), filters prune to the segments the
-// index cannot rule out, --summary answers from the footers without
-// decoding any segment, and --index-stats dumps the footer directory.
-// Unindexed files fall back to the linear scan everywhere.
+// index cannot rule out, --summary answers from the index block without
+// decoding any segment, and --index-stats dumps the index version, its
+// row bytes and the footer directory. Unindexed files fall back to the
+// linear scan everywhere.
 
 #include <cstdlib>
 #include <cstring>
@@ -68,10 +69,11 @@ int IndexStats(const TraceFileReader& reader, const ActivityRegistry& registry) 
     return 0;
   }
   const TraceIndex& index = reader.index();
-  std::cout << "index: " << index.segments.size() << " segments, "
-            << index.total_entries << " entries, " << reader.data_bytes()
-            << " data bytes + "
-            << (reader.file_size() - reader.data_bytes()) << " index bytes\n";
+  std::cout << "index: version " << index.version << ", "
+            << index.segments.size() << " segments, " << index.total_entries
+            << " entries, " << reader.data_bytes() << " data bytes + "
+            << (reader.file_size() - reader.data_bytes())
+            << " index bytes (" << index.row_bytes << " in segment rows)\n";
   PrintSection(std::cout, "Segment directory");
   TextTable dir({"seg", "offset", "bytes", "entries", "ver", "time range",
                  "origins", "acts"});
@@ -92,7 +94,9 @@ int IndexStats(const TraceFileReader& reader, const ActivityRegistry& registry) 
                 std::to_string(seg.activities.size())});
   }
   dir.Print(std::cout);
-  PrintSection(std::cout, "Per-activity totals (from footers)");
+  PrintSection(std::cout, index.version == kIndexVersionFixedRows
+                              ? "Per-activity totals (summed from segment rows)"
+                              : "Per-activity totals (from the file totals table)");
   TextTable totals({"activity", "entries", "pulses", "E (mJ)"});
   for (const auto& [act, row] : index.ActivityTotals()) {
     totals.AddRow({registry.Name(act), std::to_string(row.entries),
