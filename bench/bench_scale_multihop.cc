@@ -29,11 +29,9 @@
 //                             [--grid-width W] [--wide-motes N]
 //                             [--stream-traces] [--stream-log-capacity N]
 //                             [--max-rss-mb M] [--mem-motes N]
-//                             [--coordinator-seal] [--big-motes N]
-//                             [--sync-emission] [--emission-depth D]
-//                             [--huge-motes N] [--legacy-charge-sweep]
-//                             [--serial-drain] [--serial-charge-flush]
-//                             [--segment-entries N] [--help]
+//                             [--big-motes N] [--emission-depth D]
+//                             [--huge-motes N] [--segment-entries N]
+//                             [--help]
 //   An unknown flag, or a flag missing its value, prints the usage and
 //   exits 2 before anything runs; --help prints it and exits 0.
 //   --motes        run only one network size instead of the 64/128/256 sweep
@@ -54,25 +52,17 @@
 //                  past the old 256-node ceiling (default 1024; 0
 //                  disables; skipped when --motes is given)
 //   --stream-traces  sharded runs collect traces through the streaming
-//                  TraceSink pipeline (bounded per-mote archives sealed at
-//                  window barriers into an incremental merge) instead of
-//                  the post-hoc whole-trace merge; the reported hash is
-//                  the merger's online fingerprint, which equals the
-//                  batch hash whenever no entries were dropped. Baseline
-//                  (--threads 0) runs always use the batch path. Sealing
-//                  runs on the parallel barrier pipeline by default: each
+//                  pipeline (bounded per-mote archives sealed at window
+//                  barriers into an incremental merge) instead of the
+//                  post-hoc whole-trace merge; the reported hash is the
+//                  merger's online fingerprint, which equals the batch
+//                  hash whenever no entries were dropped. Baseline
+//                  (--threads 0) runs always use the batch path. Each
 //                  shard's worker seals its dirty loggers into a
-//                  pre-merged run inside the barrier and the coordinator
-//                  k-way merges k = shards runs; per-window
-//                  seal/merge/barrier timing percentiles are recorded.
-//   --coordinator-seal  streamed runs seal with the serial per-mote
-//                  coordinator sweep instead (the pre-PR 5 path; output
-//                  hashes are identical)
-//   --sync-emission  pre-merged streamed runs merge synchronously inside
-//                  the window barrier (the pre-off-barrier path) instead
-//                  of handing runs to the emission pipeline's consumer
-//                  thread; output hashes and spill bytes are identical
-//                  either way
+//                  pre-merged run inside the barrier, and the emission
+//                  pipeline's consumer thread k-way merges the k = shards
+//                  runs off the barrier; per-window seal/merge/barrier
+//                  and drain/flush timing percentiles are recorded.
 //   --emission-depth  bounded hand-off queue depth in windows for
 //                  off-barrier emission (default 4); the coordinator
 //                  blocks (counted as consumer_stall_us) when the
@@ -94,28 +84,9 @@
 //                  the old 65 534-mote ceiling (node ids are 32-bit);
 //                  run_benchmarks.sh drives it at 262 144 motes in its
 //                  own process and merges the rows into the JSON.
-//   --legacy-charge-sweep  sharded runs flush batched logger charge with
-//                  the historical O(all motes) per-window sweep instead
-//                  of the per-shard dirty lists; merge hashes are
-//                  identical either way (the flush only reorders visits
-//                  across event queues, never within one)
-//   --serial-charge-flush  pre-merged streamed runs flush batched logger
-//                  charge on the serial barrier hook (per-shard dirty
-//                  lists walked by the coordinator — the pre-PR 9 path)
-//                  instead of fusing the flush into the parallel
-//                  pre-barrier seal pass; merge hashes and
-//                  charge_flush_visits are identical either way — this
-//                  is the A/B baseline run_benchmarks.sh uses for the
-//                  residue_summary block. On that path flush_us is
-//                  measured inside barrier_us (coordinator-side); on the
-//                  fused default it is the worker-side pass, a slice of
-//                  seal_us.
-//   --serial-drain sharded runs use the pre-PR 8 single-threaded fabric
-//                  drain (coordinator gather + global stable_sort) instead
-//                  of the parallel per-destination lane merge on the
-//                  inter-window phase; merge hashes and wakeup counters
-//                  are identical either way — this is the A/B baseline
-//                  run_benchmarks.sh uses for the fabric_summary block
+//   --segment-entries  entries per spill segment of a streamed --trace
+//                  (default 65536): the index granularity; merged entries
+//                  and hashes never depend on it
 //   --stream-log-capacity  per-mote RAM ring in streaming mode (default
 //                  1024 entries; batch mode keeps the usual 8192). The
 //                  ring only needs to cover one lockstep window.
@@ -163,11 +134,9 @@ constexpr char kUsage[] =
     "                            [--grid-width W] [--wide-motes N]\n"
     "                            [--stream-traces] [--stream-log-capacity N]\n"
     "                            [--max-rss-mb M] [--mem-motes N]\n"
-    "                            [--coordinator-seal] [--big-motes N]\n"
-    "                            [--sync-emission] [--emission-depth D]\n"
-    "                            [--huge-motes N] [--legacy-charge-sweep]\n"
-    "                            [--serial-drain] [--serial-charge-flush]\n"
-    "                            [--segment-entries N] [--help]\n";
+    "                            [--big-motes N] [--emission-depth D]\n"
+    "                            [--huge-motes N] [--segment-entries N]\n"
+    "                            [--help]\n";
 
 // Percentile summary of one per-window timing series (microseconds).
 struct PctSummary {
@@ -209,8 +178,6 @@ struct RunResult {
   ScaleTopology topology = ScaleTopology::kChain;
   size_t sinks = 1;
   bool stream = false;
-  bool premerge = false;  // Parallel barrier pipeline (streamed runs).
-  bool async_emission = false;  // Off-barrier consumer-thread emission.
   double construct_ms = 0.0;  // Network + core construction wall time.
   double sim_seconds = 0.0;
   uint64_t events = 0;
@@ -223,10 +190,8 @@ struct RunResult {
   uint64_t entries_dropped = 0;
   uint64_t windows = 0;
   uint64_t cross_posts = 0;
-  // Fabric drain path and its counters (sharded runs). scheduled/skipped
-  // wakeup totals are path-invariant; lanes_skipped counts whole source
-  // lanes the parallel drain dismissed with one channel-mask compare.
-  bool serial_drain = false;
+  // Fabric drain counters (sharded runs): lanes_skipped counts whole
+  // source lanes the drain dismissed with one channel-mask compare.
   uint64_t scheduled_wakeups = 0;
   uint64_t skipped_wakeups = 0;
   uint64_t lanes_skipped = 0;
@@ -234,44 +199,37 @@ struct RunResult {
   // Entries resident in the streaming merger at its high-water mark (the
   // streamed stand-in for "how big the batch merge vector would be").
   uint64_t stream_peak_buffered = 0;
-  // Empty-seal suppression counters (streamed runs): chunks actually
-  // sealed vs SealToSink calls that found nothing; on the pre-merged
-  // pipeline also the dirty-list seal calls (== chunks sealed when every
-  // swept mote had data — idle motes are never swept).
+  // Seal counters (streamed runs): chunks actually sealed, SealToSink
+  // calls that found nothing, and the dirty-list seal calls (== chunks
+  // sealed, with no empty seals: idle motes are never swept).
   uint64_t chunks_sealed = 0;
   uint64_t empty_seals_skipped = 0;
   uint64_t premerge_seal_calls = 0;
-  // Per-window barrier timing percentiles (pre-merged streamed runs).
-  // Under off-barrier emission merge_us is consumer-side (concurrent with
-  // simulation); window_us is the whole window's wall time, so the
-  // overlap is visible even on a timesliced 1-core host: merge_us leaves
-  // barrier_us while window_us absorbs the consumer's share of the core.
+  // Per-window barrier timing percentiles (streamed runs). merge_us is
+  // consumer-side (concurrent with simulation); window_us is the whole
+  // window's wall time, so the overlap is visible even on a timesliced
+  // 1-core host: merge_us stays out of barrier_us while window_us absorbs
+  // the consumer's share of the core.
   PctSummary seal_us;
   PctSummary merge_us;
   PctSummary barrier_us;
   PctSummary window_us;
-  // Fabric drain timing (profiled sharded runs): drain_us is the fabric's
-  // per-window cost — on the parallel path the slowest destination's lane
-  // merge, on the serial path the whole coordinator drain; drain_phase_us
-  // is the simulator-side wall time of the inter-window parallel phase
-  // (zero on the serial path, where the drain runs inside barrier_us).
+  // Fabric drain timing (streamed runs): drain_us is the fabric's
+  // per-window cost, the slowest destination's lane merge; drain_phase_us
+  // is the simulator-side wall time of the inter-window parallel phase.
   PctSummary drain_us;
   PctSummary drain_phase_us;
-  // Charge-flush timing (profiled pre-merged runs): on the fused default
-  // the per-window max across shards of the worker-side flush+seal pass
-  // (a slice of seal_us, parallel, pre-barrier); with
-  // --serial-charge-flush the coordinator's FlushAllCharges duration (a
-  // slice of barrier_us). barrier_us minus the serial flush is the true
-  // O(shards) residue either way.
+  // Charge-flush timing (streamed runs): the per-window max across shards
+  // of the worker-side flush+seal pass — a slice of seal_us, parallel,
+  // pre-barrier, so barrier_us is the O(shards) residue alone.
   PctSummary flush_us;
-  bool serial_charge_flush = false;
   // Off-barrier emission counters: total coordinator time blocked on a
   // full hand-off queue, and the queued-run high-water mark.
   uint64_t consumer_stall_us = 0;
   uint64_t runs_queued_peak = 0;
   // Batched-charge flush counters (sharded runs): loggers visited across
   // all window flushes, and the flush rounds. Dirty-list flushing keeps
-  // visits ≪ windows × motes; the legacy sweep pins them equal.
+  // visits ≪ windows × motes.
   uint64_t charge_flush_visits = 0;
   uint64_t charge_flush_windows = 0;
   // Construction arena footprint: slab bytes reserved and the allocation
@@ -292,26 +250,9 @@ struct RunOptions {
   ScaleTopology topology = ScaleTopology::kChain;
   size_t sinks = 1;
   size_t grid_width = 0;
-  bool stream = false;              // Streaming TraceSink collection.
-  // Parallel barrier pipeline: streamed sharded runs seal dirty loggers
-  // on the shard workers into pre-merged runs (the default); false
-  // selects the coordinator-sweep path (PR 4's), kept for comparison.
-  bool premerge = true;
-  // Off-barrier emission: pre-merged streamed runs hand sealed runs plus
-  // the watermark to a consumer thread at the barrier (the default);
-  // false merges synchronously inside the barrier (--sync-emission).
-  bool async_emission = true;
+  bool stream = false;              // Streamed collection.
   size_t emission_depth = EmissionPipeline::kDefaultMaxDepth;
   size_t stream_log_capacity = 1024;
-  // Per-window full charge sweep instead of the dirty lists
-  // (--legacy-charge-sweep); kept for A/B runs and the equality tests.
-  bool legacy_charge_sweep = false;
-  // Serial-hook charge flush instead of the fused worker-side pass
-  // (--serial-charge-flush); the residue A/B baseline.
-  bool serial_charge_flush = false;
-  // Coordinator gather+sort fabric drain instead of the parallel lane
-  // merge (--serial-drain); kept for the fabric A/B baseline.
-  bool serial_drain = false;
   std::string trace_path;  // Empty: no trace dump.
   // Entries per spill segment (--segment-entries): index granularity for
   // the streamed spill. Default matches FileTraceSink; merged entries and
@@ -398,23 +339,16 @@ RunResult RunNetwork(size_t n_motes, double sim_seconds,
     sim_cfg.threads = opts.threads;
     sim_cfg.lookahead = opts.lookahead;
     ShardedSimulator sim(sim_cfg);
-    MediumFabric::Config fab_cfg;
-    fab_cfg.serial_drain = opts.serial_drain;
-    MediumFabric fabric(&sim, fab_cfg);
+    MediumFabric fabric(&sim);
     // Window-batched logger self-charging: the sharded core's native mode.
     cfg.batch_log_charging = true;
-    cfg.legacy_full_charge_sweep = opts.legacy_charge_sweep;
-    cfg.serial_charge_flush = opts.serial_charge_flush;
 
-    // Streaming collection: loggers seal chunks to the merger at every
-    // window barrier (bounded archives), merged entries spill to the
-    // optional trace file online, and the hash is the merger's online
-    // fingerprint. By default the parallel barrier pipeline does the
-    // sealing: each shard's worker seals its dirty loggers into a
-    // pre-merged run inside the barrier and the coordinator k-way merges
-    // k = shards runs (--coordinator-seal selects the serial per-mote
-    // sweep instead; hashes are identical). The batch path below keeps
-    // whole traces in RAM and merges post hoc.
+    // Streaming collection: each shard's worker seals its dirty loggers
+    // into a pre-merged run at every window barrier (bounded archives),
+    // the emission pipeline's consumer thread merges the runs off the
+    // barrier, merged entries spill to the optional trace file online, and
+    // the hash is the merger's online fingerprint. The batch path below
+    // keeps whole traces in RAM and merges post hoc.
     StreamingTraceMerger merger;
     std::unique_ptr<FileTraceSink> spill;
     // Declared after merger/spill so its consumer thread joins before the
@@ -423,38 +357,24 @@ RunResult RunNetwork(size_t n_motes, double sim_seconds,
     if (opts.stream) {
       if (!opts.trace_path.empty()) {
         // Streamed spills carry the segment footer index: built entry by
-        // entry behind the emit hook (the emission consumer thread under
-        // the async default — zero barrier cost) and appended at Close.
-        // The data segments stay byte-identical to an unindexed spill.
-        cfg.segment_entries = opts.segment_entries;
+        // entry behind the emit hook (on the emission consumer thread —
+        // zero barrier cost) and appended at Close. The data segments
+        // stay byte-identical to an unindexed spill.
         FileTraceSink::Options sink_opts;
-        sink_opts.segment_entries = cfg.segment_entries;
+        sink_opts.segment_entries = opts.segment_entries;
         sink_opts.write_index = true;
         spill = std::make_unique<FileTraceSink>(opts.trace_path, sink_opts);
         FileTraceSink* sink = spill.get();
         merger.SetEmit(
             [sink](const MergedEntry& m) { sink->Append(m.entry); });
       }
-      if (opts.premerge) {
-        if (opts.async_emission) {
-          // Off-barrier emission (the streamed default): merge +
-          // regression + spill run on the pipeline's consumer thread,
-          // concurrently with the next window.
-          emission =
-              std::make_unique<EmissionPipeline>(&merger, opts.emission_depth);
-          cfg.emission_pipeline = emission.get();
-          result.async_emission = true;
-        } else {
-          cfg.premerged_sink = &merger;
-        }
-        cfg.profile_barrier = true;
-        sim.EnableBarrierProfiling(true);
-        fabric.EnableDrainProfiling(true);
-        result.premerge = true;
-      } else {
-        cfg.trace_sink = &merger;
-      }
+      emission =
+          std::make_unique<EmissionPipeline>(&merger, opts.emission_depth);
+      cfg.emission_pipeline = emission.get();
+      cfg.profile_barrier = true;
       cfg.log_capacity = opts.stream_log_capacity;
+      sim.EnableBarrierProfiling(true);
+      fabric.EnableDrainProfiling(true);
       result.stream = true;
     }
     ScaleNetwork net(&sim, &fabric, cfg);
@@ -464,13 +384,6 @@ RunResult RunNetwork(size_t n_motes, double sim_seconds,
             .count();
     result.arena_bytes_reserved = net.construction_arena().bytes_reserved();
     result.arena_allocations = net.construction_arena().allocations();
-    if (opts.stream && !opts.premerge) {
-      // After ScaleNetwork's seal hook: every chunk of the window is in
-      // the merger before its watermark advances. (The pre-merged path
-      // advances its own watermark in the hand-off hook.)
-      sim.AddBarrierHook(
-          [&merger](Tick window_end) { merger.AdvanceWatermark(window_end); });
-    }
     result.sinks = net.origin_count();
     net.PowerUp();
     sim.RunFor(Milliseconds(5));
@@ -487,13 +400,11 @@ RunResult RunNetwork(size_t n_motes, double sim_seconds,
     result.packets_delivered = fabric.packets_delivered();
     result.windows = sim.windows_run();
     result.cross_posts = fabric.cross_posts();
-    result.serial_drain = opts.serial_drain;
     result.scheduled_wakeups = fabric.scheduled_wakeups();
     result.skipped_wakeups = fabric.skipped_wakeups();
     result.lanes_skipped = fabric.lanes_skipped();
     result.charge_flush_visits = net.charge_flush_visits();
     result.charge_flush_windows = net.charge_flush_windows();
-    result.serial_charge_flush = !net.fused_charge_flush();
     if (opts.stream) {
       net.SealAllChunks();
       merger.Finish();
@@ -504,23 +415,18 @@ RunResult RunNetwork(size_t n_motes, double sim_seconds,
       result.stream_peak_buffered = merger.peak_buffered();
       result.chunks_sealed = net.chunks_sealed();
       result.empty_seals_skipped = net.empty_seals_skipped();
-      if (opts.premerge) {
-        result.premerge_seal_calls = net.premerge_seal_calls();
-        result.seal_us = Summarize(net.seal_us_samples());
-        // On the off-barrier path SealAllChunks drained the pipeline and
-        // copied the consumer-side samples back, so this reads the right
-        // series either way.
-        result.merge_us = Summarize(net.merge_us_samples());
-        result.barrier_us = Summarize(sim.barrier_us_samples());
-        result.window_us = Summarize(sim.window_us_samples());
-        result.drain_us = Summarize(fabric.drain_us_samples());
-        result.drain_phase_us = Summarize(sim.drain_phase_us_samples());
-        result.flush_us = Summarize(net.flush_us_samples());
-        if (emission != nullptr) {
-          result.consumer_stall_us = emission->consumer_stall_us();
-          result.runs_queued_peak = emission->runs_queued_peak();
-        }
-      }
+      result.premerge_seal_calls = net.premerge_seal_calls();
+      result.seal_us = Summarize(net.seal_us_samples());
+      // SealAllChunks drained the pipeline and copied the consumer-side
+      // samples back.
+      result.merge_us = Summarize(net.merge_us_samples());
+      result.barrier_us = Summarize(sim.barrier_us_samples());
+      result.window_us = Summarize(sim.window_us_samples());
+      result.drain_us = Summarize(fabric.drain_us_samples());
+      result.drain_phase_us = Summarize(sim.drain_phase_us_samples());
+      result.flush_us = Summarize(net.flush_us_samples());
+      result.consumer_stall_us = emission->consumer_stall_us();
+      result.runs_queued_peak = emission->runs_queued_peak();
       if (spill != nullptr) {
         if (spill->Close()) {
           std::cout << "  spilled merged trace " << opts.trace_path << " ("
@@ -656,20 +562,15 @@ void WriteJson(const std::vector<RunResult>& runs, const RunResult& core,
         << ", \"entries_dropped\": " << r.entries_dropped
         << ", \"windows\": " << r.windows
         << ", \"cross_posts\": " << r.cross_posts
-        << ", \"serial_drain\": " << (r.serial_drain ? "true" : "false")
         << ", \"scheduled_wakeups\": " << r.scheduled_wakeups
         << ", \"skipped_wakeups\": " << r.skipped_wakeups
         << ", \"lanes_skipped\": " << r.lanes_skipped
         << ", \"stream_peak_buffered\": " << r.stream_peak_buffered
         << ", \"peak_rss_mb\": " << r.peak_rss_mb
-        << ", \"premerge\": " << (r.premerge ? "true" : "false")
-        << ", \"async_emission\": " << (r.async_emission ? "true" : "false")
         << ", \"consumer_stall_us\": " << r.consumer_stall_us
         << ", \"runs_queued_peak\": " << r.runs_queued_peak
         << ", \"charge_flush_visits\": " << r.charge_flush_visits
         << ", \"charge_flush_windows\": " << r.charge_flush_windows
-        << ", \"serial_charge_flush\": "
-        << (r.serial_charge_flush ? "true" : "false")
         << ", \"construct_ms\": " << r.construct_ms
         << ", \"arena_bytes_reserved\": " << r.arena_bytes_reserved
         << ", \"arena_allocations\": " << r.arena_allocations
@@ -827,10 +728,6 @@ int Run(int argc, char** argv) {
       mem_motes = static_cast<size_t>(n);
     } else if (std::strcmp(argv[i], "--stream-traces") == 0) {
       opts.stream = true;
-    } else if (std::strcmp(argv[i], "--coordinator-seal") == 0) {
-      opts.premerge = false;
-    } else if (std::strcmp(argv[i], "--sync-emission") == 0) {
-      opts.async_emission = false;
     } else if (std::strcmp(argv[i], "--emission-depth") == 0 && i + 1 < argc) {
       int n = std::atoi(argv[++i]);
       if (n < 1) {
@@ -852,12 +749,6 @@ int Run(int argc, char** argv) {
         return 2;
       }
       huge_motes = static_cast<size_t>(n);
-    } else if (std::strcmp(argv[i], "--legacy-charge-sweep") == 0) {
-      opts.legacy_charge_sweep = true;
-    } else if (std::strcmp(argv[i], "--serial-charge-flush") == 0) {
-      opts.serial_charge_flush = true;
-    } else if (std::strcmp(argv[i], "--serial-drain") == 0) {
-      opts.serial_drain = true;
     } else if (std::strcmp(argv[i], "--stream-log-capacity") == 0 &&
                i + 1 < argc) {
       int n = std::atoi(argv[++i]);
@@ -906,9 +797,7 @@ int Run(int argc, char** argv) {
     t.AddRow({std::to_string(r.motes), std::to_string(r.threads),
               std::to_string(r.shards),
               r.topology == ScaleTopology::kGrid ? "grid" : "chain",
-              r.async_emission ? "async"
-                               : (r.premerge ? "premrg"
-                                             : (r.stream ? "stream" : "batch")),
+              r.stream ? "stream" : "batch",
               TextTable::Num(r.sim_seconds, 1), std::to_string(r.events),
               TextTable::Num(r.wall_seconds, 3),
               std::to_string(static_cast<uint64_t>(r.events_per_sec)),
@@ -1008,19 +897,16 @@ int Run(int argc, char** argv) {
   }
   t.Print(std::cout);
 
-  // Residue split for the profiled (pre-merged) rows: the charge flush
-  // series next to the serial barrier section it used to live inside.
-  // "fused" rows measure the worker-side flush+seal pass (∥, a slice of
-  // seal_us); "serial" rows measure the coordinator's FlushAllCharges (a
-  // slice of barrier_us) — so fused rows' barrier totals show the true
-  // O(shards) residue while serial rows show what fusing removed.
+  // Residue split for the streamed rows: the worker-side charge flush
+  // (∥, a slice of seal_us) next to the serial barrier section, whose
+  // totals are the O(shards) residue the flush no longer sits inside.
   bool any_flush = false;
   for (const RunResult& r : runs) {
     any_flush = any_flush || r.flush_us.present;
   }
   if (any_flush) {
     PrintSection(std::cout, "Window residue: charge flush vs serial barrier");
-    TextTable rt({"motes", "thr", "flush", "fl p50", "fl p90", "fl p99",
+    TextTable rt({"motes", "thr", "fl p50", "fl p90", "fl p99",
                   "fl max", "fl tot ms", "bar p50", "bar p90", "bar p99",
                   "bar max", "bar tot ms"});
     for (const RunResult& r : runs) {
@@ -1028,7 +914,6 @@ int Run(int argc, char** argv) {
         continue;
       }
       rt.AddRow({std::to_string(r.motes), std::to_string(r.threads),
-                 r.serial_charge_flush ? "serial" : "fused",
                  std::to_string(r.flush_us.p50), std::to_string(r.flush_us.p90),
                  std::to_string(r.flush_us.p99), std::to_string(r.flush_us.max),
                  TextTable::Num(r.flush_us.total_ms, 1),

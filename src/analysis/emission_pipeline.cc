@@ -115,7 +115,7 @@ void EmissionPipeline::ConsumerLoop() {
     if (batch.profile) {
       start = std::chrono::steady_clock::now();
     }
-    // Exactly the coordinator's synchronous sequence: runs in submission
+    // The producer's call sequence, replayed: runs in submission
     // (ascending shard) order, then the watermark advance that emits,
     // hashes and feeds the emit hook. Byte-identical output follows.
     for (ShardRun& sr : batch.runs) {

@@ -11,13 +11,14 @@
 // runs are sealed, the watermark is final, and the next window cannot
 // change either.
 //
-// EmissionPipeline is the decoupling. At the barrier the coordinator
-// hands the window's runs plus the new watermark to a bounded queue and
-// immediately releases the shards into the next window; the consumer
-// thread drains the queue in FIFO order, performing exactly the calls the
-// coordinator used to make — OnRun per run in ascending shard order, then
-// AdvanceWatermark — so the emitted sequence, FNV fingerprint, spill
-// bytes and regression feed are byte-identical to the synchronous path.
+// EmissionPipeline is the decoupling, and the sharded runner's only
+// streamed collection path. At the barrier the coordinator hands the
+// window's runs plus the new watermark to a bounded queue and immediately
+// releases the shards into the next window; the consumer thread drains
+// the queue in FIFO order, making the calls a barrier-side merge would
+// make — OnRun per run in ascending shard order, then AdvanceWatermark —
+// so the emitted sequence, FNV fingerprint, spill bytes and regression
+// feed equal those of the batch merge of the same run.
 // Run buffers retire through the merger's freelist into a shared return
 // queue and flow back to the shard builders at the next barrier, keeping
 // the steady state allocation-free end to end.
@@ -76,10 +77,10 @@ class EmissionPipeline {
   // Windows the queue may hold before SubmitWindow blocks the producer.
   static constexpr size_t kDefaultMaxDepth = 4;
 
-  // The pipeline does not own the merger object (callers keep building
-  // mergers and emit hooks exactly as on the synchronous path) but owns
-  // exclusive access to it while running — see the thread discipline
-  // above. Spawns the consumer thread immediately.
+  // The pipeline does not own the merger object (callers build the merger
+  // and its emit hook themselves) but owns exclusive access to it while
+  // running — see the thread discipline above. Spawns the consumer thread
+  // immediately.
   explicit EmissionPipeline(StreamingTraceMerger* merger,
                             size_t max_depth = kDefaultMaxDepth);
   // Finishes the remaining queue, then joins the consumer.
@@ -104,8 +105,8 @@ class EmissionPipeline {
   // Producer-side freelists: run buffers the consumer fully emitted
   // (cleared, capacity intact) ready to back the builders' next BuildRun,
   // and consumed batch vectors ready for the next SubmitWindow. Both
-  // return false when empty — the producer then starts fresh, exactly as
-  // the synchronous TakeRetiredRun path does.
+  // return false when empty — the producer then starts with a fresh
+  // buffer.
   bool TakeRetiredRun(std::vector<MergedEntry>* out);
   bool TakeRetiredBatch(std::vector<ShardRun>* out);
 
@@ -125,9 +126,8 @@ class EmissionPipeline {
   uint64_t windows_submitted() const;
   uint64_t windows_consumed() const;
   // Consumer-side merge time per profiled window (OnRun ingest +
-  // watermark emission + hashing + emit hook) — what merge_us measured on
-  // the synchronous path, now off the barrier. Copy; call after Drain for
-  // a complete series.
+  // watermark emission + hashing + emit hook), measured off the barrier.
+  // Copy; call after Drain for a complete series.
   std::vector<uint32_t> merge_us_samples() const;
 
  private:

@@ -119,9 +119,6 @@ void StreamingTraceMerger::OnChunk(TraceChunk&& chunk) {
   if (was_empty) {
     PushHead(&stream);
   }
-  if (chunk_pool_ != nullptr) {
-    chunk_pool_->RecycleEntries(std::move(chunk.entries));
-  }
 }
 
 void StreamingTraceMerger::OnRun(uint32_t stream_key,
@@ -141,15 +138,6 @@ void StreamingTraceMerger::OnRun(uint32_t stream_key,
   if (was_empty) {
     PushHead(&stream);
   }
-}
-
-bool StreamingTraceMerger::TakeRetiredRun(std::vector<MergedEntry>* out) {
-  if (retired_runs_.empty()) {
-    return false;
-  }
-  *out = std::move(retired_runs_.back());
-  retired_runs_.pop_back();
-  return true;
 }
 
 size_t StreamingTraceMerger::TakeRetiredRuns(

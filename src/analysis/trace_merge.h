@@ -125,13 +125,14 @@ class MergedTraceHasher {
 // Incremental k-way merge: the streaming counterpart of MergeTraces.
 //
 // Input arrives online through one of two doors:
-//  * OnChunk (it is a TraceSink, so loggers in bounded-archive mode feed
-//    it directly): one stream per *node*, entries unwrapped to 64-bit
-//    time on ingest — the coordinator-sweep pipeline.
 //  * OnRun: one stream per *shard*, entries already unwrapped, sorted and
 //    pre-merged by a ShardRunBuilder on the shard's worker thread — the
-//    parallel barrier pipeline. The coordinator's merge heap then holds
+//    sharded runner's streamed collection. The merge heap then holds
 //    k = shards heads instead of k = motes.
+//  * OnChunk (it is a TraceSink, so loggers in bounded-archive mode feed
+//    it directly): one stream per *node*, entries unwrapped to 64-bit
+//    time on ingest — single-engine streamed collection, where there are
+//    no shards to pre-merge across.
 // The emitted sequence — order, content and FNV fingerprint — is
 // identical either way, and identical to what
 // MergeTraces(CollectNodeTraces(net)) would produce on the same logs: the
@@ -139,24 +140,22 @@ class MergedTraceHasher {
 // One merger instance must stick to one door (stream keys are node ids on
 // one and shard ids on the other).
 //
-// Watermark protocol: the producer (the sharded runner's barrier hook)
-// seals every dirty logger at a window barrier T, then calls
-// AdvanceWatermark(T). Entries strictly below T are final — every stream
-// flushed at T can only append entries at or after T — so they merge and
-// emit immediately; entries at exactly T wait one more window (barrier
-// hooks themselves may still log at T). A stream with nothing buffered
-// never blocks emission: after its seal at T, silence means it has
-// nothing below T (the idle-shard case). Finish() declares end of input
-// and drains the remainder. Under off-barrier emission the OnRun +
-// AdvanceWatermark calls are made by the EmissionPipeline consumer thread
-// instead of the coordinator — same calls, same order, same output; see
+// Watermark protocol: the producer seals every dirty logger at a window
+// barrier T, then calls AdvanceWatermark(T). Entries strictly below T are
+// final — every stream flushed at T can only append entries at or after
+// T — so they merge and emit immediately; entries at exactly T wait one
+// more window (barrier hooks themselves may still log at T). A stream
+// with nothing buffered never blocks emission: after its seal at T,
+// silence means it has nothing below T (the idle-shard case). Finish()
+// declares end of input and drains the remainder. On sharded runs the
+// OnRun + AdvanceWatermark calls are made by the EmissionPipeline
+// consumer thread, off the window barrier; see
 // src/analysis/emission_pipeline.h for the ownership rules.
 //
 // Peak memory is O(entries per watermark interval), not O(run), and the
 // steady state is allocation-free: consumed run buffers retire into a
-// freelist (handed back to the producer via TakeRetiredRun, or reused
-// internally by OnChunk), and sealed chunk buffers recycle through an
-// optional TraceChunkPool shared with the loggers.
+// freelist (handed back to the producer via TakeRetiredRuns, or reused
+// internally by OnChunk).
 class StreamingTraceMerger : public TraceSink {
  public:
   // Called once per merged entry, in merge order. Optional: the merger
@@ -168,13 +167,6 @@ class StreamingTraceMerger : public TraceSink {
   explicit StreamingTraceMerger(EmitFn emit) : emit_(std::move(emit)) {}
 
   void SetEmit(EmitFn emit) { emit_ = std::move(emit); }
-
-  // Chunk-buffer freelist shared with the loggers that feed OnChunk: the
-  // merger recycles each chunk's entries vector here after copying the
-  // entries into its pending runs. Single-threaded discipline (see
-  // TraceChunkPool); only meaningful on the OnChunk door — OnRun
-  // producers recycle through their own per-shard pools.
-  void SetChunkPool(TraceChunkPool* pool) { chunk_pool_ = pool; }
 
   // TraceSink: accepts one sealed chunk. Entries are unwrapped to 64-bit
   // time on ingest (per-stream, exactly as MergeTraces does).
@@ -188,17 +180,15 @@ class StreamingTraceMerger : public TraceSink {
   // Empty runs are accepted and retire immediately.
   void OnRun(uint32_t stream, std::vector<MergedEntry>&& run);
 
-  // Hands back one fully-consumed run buffer (cleared, capacity intact)
-  // for the producer to build its next run in; false when none is
-  // retired. The steady-state loop — BuildRun, OnRun, AdvanceWatermark,
-  // TakeRetiredRun — allocates nothing once buffers reach working size.
-  bool TakeRetiredRun(std::vector<MergedEntry>* out);
-  // Bulk form: appends every retired run buffer to `out`. The off-barrier
-  // emission consumer (EmissionPipeline) harvests with this while it owns
-  // the merger, then ferries the buffers back to the shard builders
-  // through its own mutex-protected return queue — the merger itself
-  // stays single-threaded (exactly one thread may touch it at a time; the
-  // pipeline's queue and Drain() provide the ordering).
+  // Appends every fully-consumed run buffer (cleared, capacity intact) to
+  // `out` for the producer to build its next runs in; returns how many.
+  // The steady-state loop — BuildRun, OnRun, AdvanceWatermark,
+  // TakeRetiredRuns — allocates nothing once buffers reach working size.
+  // The off-barrier emission consumer (EmissionPipeline) harvests with
+  // this while it owns the merger, then ferries the buffers back to the
+  // shard builders through its own mutex-protected return queue — the
+  // merger itself stays single-threaded (exactly one thread may touch it
+  // at a time; the pipeline's queue and Drain() provide the ordering).
   size_t TakeRetiredRuns(std::vector<std::vector<MergedEntry>>* out);
 
   // Every stream is complete strictly below `watermark` (unwrapped time):
@@ -267,9 +257,8 @@ class StreamingTraceMerger : public TraceSink {
   std::priority_queue<HeapKey, std::vector<HeapKey>, std::greater<HeapKey>>
       heads_;
   // Fully-consumed run buffers awaiting reuse (OnChunk ingest or
-  // TakeRetiredRun).
+  // TakeRetiredRuns).
   std::vector<std::vector<MergedEntry>> retired_runs_;
-  TraceChunkPool* chunk_pool_ = nullptr;
   uint64_t emitted_ = 0;
   size_t buffered_ = 0;
   size_t peak_buffered_ = 0;
@@ -299,9 +288,9 @@ class StreamingTraceMerger : public TraceSink {
 // the next window's run. Every run therefore lies strictly below its
 // barrier and at or above the previous one, so the concatenation of a
 // shard's runs is globally sorted — precisely the StreamingTraceMerger
-// OnRun precondition — and no entry emits later than it would have under
-// the coordinator-sweep pipeline (the watermark holds entries at T for
-// one window anyway).
+// OnRun precondition — and no entry emits later than it would if every
+// logger sealed straight into the merger (the watermark holds entries at
+// T for one window anyway).
 //
 // Thread discipline: everything here is owned by the shard — touched by
 // the shard's worker during windows and the pre-barrier phase, and by the
@@ -385,8 +374,8 @@ class ShardRunBuilder : public TraceSink {
   // the whole flush+seal walk (the two are interleaved per visit, so the
   // walk is timed as one — per-logger clock reads would cost more than
   // the flush they measure). A subset of last_build_us, split out so the
-  // bench can report the fused pass next to the serial paths' hook-side
-  // flush_us. 0 when BuildRun ran unfused.
+  // benches can report the fused flush on its own. 0 when BuildRun ran
+  // unfused.
   uint32_t last_flush_us() const { return stats_.last_flush_us; }
 
  private:

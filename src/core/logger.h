@@ -114,8 +114,8 @@ class QuantoLogger {
   // The charge-dirty set therefore always coincides with the log-dirty
   // set, which is why the fused worker-side flush (ShardRunBuilder's
   // flush+seal pass) reuses the seal dirty list and leaves this hook
-  // unwired — one list, one sort, one pass. This hook remains for the
-  // retained serial-hook path and for collectors without run builders.
+  // unwired — one list, one sort, one pass. This hook remains for
+  // collectors without run builders (batch-collected sharded runs).
   using ChargeDirtyHook = void (*)(void* ctx, QuantoLogger* logger);
   void SetChargeDirtyHook(ChargeDirtyHook hook, void* ctx) {
     charge_dirty_hook_ = hook;
@@ -140,8 +140,8 @@ class QuantoLogger {
 
   // FlushCpuCharge calls that found a nonzero pending charge — i.e. actual
   // ChargeCycles hand-offs. Identical across the fused worker-side flush,
-  // the serial dirty-list hook and the legacy full sweep (the sweep's
-  // extra visits all hit the zero-pending early return); the charge-flush
+  // the serial dirty-list hook and the full sweep (the sweep's extra
+  // visits all hit the zero-pending early return); the charge-flush
   // equality tests pin exactly that.
   uint64_t charge_flushes() const { return charge_flushes_; }
 
@@ -270,9 +270,9 @@ class QuantoLogger {
   size_t DrainChunk(size_t max_entries, TraceChunk* chunk);
 
   uint64_t chunks_sealed() const { return chunks_sealed_; }
-  // SealToSink() calls that found nothing to seal and produced no chunk —
-  // the coordinator-sweep pipeline pays one of these per idle mote per
-  // window; the dirty-list pipeline never even makes the call.
+  // SealToSink() calls that found nothing to seal and produced no chunk.
+  // Only a collector that seals every mote pays these (one per idle mote
+  // per call); the sharded runner's dirty lists never even make the call.
   uint64_t empty_seals_skipped() const { return empty_seals_skipped_; }
 
   // Archive + still-buffered entries, in order. This is what the offline

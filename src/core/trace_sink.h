@@ -12,13 +12,13 @@
 // bounded by the seal interval (one lockstep window in the sharded
 // runner), not by the run.
 //
-// Determinism contract: chunks are sealed at window barriers by a thread
-// that owns the logger at that moment — the coordinating thread sweeping
-// motes in mote order (the original pipeline), or the shard's own worker
-// sealing its dirty loggers during the pre-barrier phase (the parallel
-// barrier pipeline, see ShardRunBuilder in src/analysis/trace_merge.h).
-// Either way the chunk sequence each consumer observes is a pure function
-// of the simulated behaviour, never of the worker-thread count.
+// Determinism contract: chunks are sealed by a thread that owns the logger
+// at that moment — on sharded runs the shard's own worker, sealing its
+// dirty loggers at each window barrier during the pre-barrier phase (see
+// ShardRunBuilder in src/analysis/trace_merge.h); on a single engine the
+// caller's thread, sealing every mote in mote order. Either way the chunk
+// sequence each consumer observes is a pure function of the simulated
+// behaviour, never of the worker-thread count.
 #ifndef QUANTO_SRC_CORE_TRACE_SINK_H_
 #define QUANTO_SRC_CORE_TRACE_SINK_H_
 
@@ -55,16 +55,14 @@ class TraceSink {
 
 // Freelist of sealed-entry buffers shared between whoever seals chunks
 // (loggers, via QuantoLogger::SetChunkPool) and whoever retires them (the
-// pre-merge builder or the merger, after copying the entries out): a
-// retired buffer keeps its capacity and backs the next seal instead of
-// being freed, so the steady-state seal -> merge -> recycle loop performs
-// no allocation once every buffer has grown to its working size.
+// pre-merge builder, after copying the entries out): a retired buffer
+// keeps its capacity and backs the next seal instead of being freed, so
+// the steady-state seal -> merge -> recycle loop performs no allocation
+// once every buffer has grown to its working size.
 //
 // Deliberately NOT thread-safe — single-owner discipline instead: the
 // sharded runner gives each shard its own pool, touched by the shard's
-// worker during the pre-barrier seal phase and by nothing else; the
-// coordinator-side merger pool is touched only between windows. The
-// window barrier orders the two regimes.
+// worker during the pre-barrier seal phase and by nothing else.
 class TraceChunkPool {
  public:
   // Returns a retired buffer (cleared, capacity retained) or a fresh

@@ -315,10 +315,6 @@ void MediumFabric::RetireWindowPosts(Tick /*window_end*/) {
 }
 
 void MediumFabric::Drain(Tick barrier_now) {
-  std::chrono::steady_clock::time_point t0;
-  if (profile_drain_) {
-    t0 = std::chrono::steady_clock::now();
-  }
   scratch_.clear();
   for (size_t src = 0; src < posts_.size(); ++src) {
     std::vector<CrossPost>& shard_posts = posts_[src];
@@ -328,9 +324,6 @@ void MediumFabric::Drain(Tick barrier_now) {
     lane_channel_mask_[src] = 0;
   }
   if (scratch_.empty()) {
-    if (profile_drain_) {
-      drain_us_samples_.push_back(0);
-    }
     return;
   }
   // Per-shard lists are already time-ordered (posts happen in execution
@@ -382,12 +375,6 @@ void MediumFabric::Drain(Tick barrier_now) {
       }
     }
     stats_[post.src_shard].skipped += (media_.size() - 1) - visited;
-  }
-  if (profile_drain_) {
-    drain_us_samples_.push_back(static_cast<uint32_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count()));
   }
 }
 

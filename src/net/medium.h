@@ -191,8 +191,9 @@ class MediumFabric {
     Tick latency = Microseconds(512);
     // Use the pre-PR8 single-threaded gather + global stable_sort drain on
     // the coordinator instead of the parallel per-destination lane merge.
-    // Kept as the differential-proof baseline: both paths must produce
-    // byte-identical merged traces and identical wakeup counters.
+    // Kept only as the reference FabricDrainTest compares the parallel
+    // drain against: both must produce byte-identical merged traces and
+    // identical wakeup counters.
     bool serial_drain = false;
   };
 
@@ -232,12 +233,9 @@ class MediumFabric {
   // match the serial path exactly).
   uint64_t lanes_skipped() const;
 
-  bool serial_drain() const { return config_.serial_drain; }
-
-  // Per-window drain cost in microseconds: on the parallel path the MAX
-  // over the per-destination drain tasks of that window (the phase's
-  // critical path); on the serial path the whole Drain call. Off by
-  // default — one sample per window.
+  // Per-window drain cost in microseconds: the MAX over the
+  // per-destination drain tasks of that window (the phase's critical
+  // path). Parallel drain only; off by default — one sample per window.
   void EnableDrainProfiling(bool on) { profile_drain_ = on; }
   const std::vector<uint32_t>& drain_us_samples() const {
     return drain_us_samples_;
@@ -320,7 +318,7 @@ class MediumFabric {
 
   // Legacy single-threaded drain (Config::serial_drain): gathers all
   // lanes, stable_sorts on (time, src_shard) and schedules every delivery
-  // from the coordinator. Retained as the differential baseline.
+  // from the coordinator. Retained as the tests' reference.
   void Drain(Tick barrier_now);
 
   Config config_;

@@ -2,10 +2,11 @@
 // runs, and the allocation-free freelist steady state.
 //
 // The contract under test is threefold:
-//  * Equivalence — the pre-merged pipeline emits the exact merged
-//    sequence (order, content, FNV fingerprint, spill bytes) of the
-//    coordinator-sweep pipeline and of the batch merge, at any thread
-//    count.
+//  * Equivalence — pre-merged runs reproduce the batch merge exactly,
+//    including boundary holdback and 32-bit wraps; at network level the
+//    streamed run emits the exact merged sequence (order, content, FNV
+//    fingerprint, spill bytes) of a coordinator-side seal of every mote
+//    at every barrier and of the batch merge, at any thread count.
 //  * Dirty-list economics — an idle mote costs the collector nothing: no
 //    sweep visit, no seal call, no chunk, no merger churn.
 //  * Recycling — after warm-up, the seal -> merge -> recycle loop
@@ -15,9 +16,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "src/analysis/emission_pipeline.h"
 #include "src/analysis/streaming.h"
 #include "src/analysis/trace_io.h"
 #include "src/analysis/trace_merge.h"
@@ -237,8 +240,9 @@ TEST(TraceChunkPoolTest, SteadyStateSealAndMergeAllocateNothing) {
       merger.OnRun(0, builder.TakeRun());
     }
     merger.AdvanceWatermark(barrier);
-    std::vector<MergedEntry> buf;
-    if (merger.TakeRetiredRun(&buf)) {
+    std::vector<std::vector<MergedEntry>> retired;
+    merger.TakeRetiredRuns(&retired);
+    for (std::vector<MergedEntry>& buf : retired) {
       builder.RecycleRunBuffer(std::move(buf));
     }
     if (window == 4) {
@@ -257,32 +261,6 @@ TEST(TraceChunkPoolTest, SteadyStateSealAndMergeAllocateNothing) {
   EXPECT_EQ(merger.buffered(), 0u);
 }
 
-TEST(TraceChunkPoolTest, MergerRecyclesChunkBuffersThroughSharedPool) {
-  // The coordinator-sweep pipeline's version of the same loop: logger and
-  // merger share one pool directly (no builder in between).
-  FakeClock clock;
-  FakeCounter meter;
-  TraceChunkPool pool;
-  StreamingTraceMerger merger;
-  merger.SetChunkPool(&pool);
-  QuantoLogger logger(&clock, &meter, 64);
-  logger.SetSink(&merger, 9);
-  logger.SetChunkPool(&pool);
-
-  for (int window = 0; window < 20; ++window) {
-    clock.now = 100 * (window + 1);
-    logger.Append(LogEntryType::kPowerState, 0, window);
-    logger.SealToSink();
-    merger.AdvanceWatermark(clock.now + 1);
-  }
-  merger.Finish();
-  EXPECT_EQ(merger.emitted(), 20u);
-  EXPECT_EQ(pool.acquired(), 20u);
-  EXPECT_EQ(pool.recycled(), 20u);
-  // One buffer circulates once the seal->ingest->recycle loop is warm.
-  EXPECT_EQ(pool.allocated(), 1u);
-}
-
 // --- End-to-end equivalence --------------------------------------------------
 
 struct PipelineRun {
@@ -299,6 +277,14 @@ struct PipelineRun {
   PipelineResult fit;
 };
 
+// kBatch merges the whole traces after the run. kPremerged is the
+// runner's streamed path: dirty loggers sealed into per-shard runs on the
+// workers, merged behind the barrier by an EmissionPipeline.
+// kCoordinator is a reference this test assembles from logger and merger
+// calls alone: a batch-collected network whose loggers seal every mote,
+// every window, chunk by chunk into the merger from a barrier hook on the
+// coordinating thread (after the network's charge-flush hook), before the
+// watermark advances.
 enum class SealMode { kBatch, kCoordinator, kPremerged };
 
 PipelineRun RunRelay(SealMode mode, size_t threads, size_t motes,
@@ -324,20 +310,28 @@ PipelineRun RunRelay(SealMode mode, size_t threads, size_t motes,
     merger.SetEmit(
         [pipeline](const MergedEntry& m) { pipeline->Add(m.entry); });
   }
+  // Joins before merger/spill are destroyed (reverse declaration order).
+  std::unique_ptr<EmissionPipeline> emission;
 
   ScaleNetworkConfig cfg;
   cfg.motes = motes;
   cfg.log_capacity = log_capacity;
   cfg.batch_log_charging = true;
   if (mode == SealMode::kPremerged) {
-    cfg.premerged_sink = &merger;
-  } else if (mode == SealMode::kCoordinator) {
-    cfg.trace_sink = &merger;
+    emission = std::make_unique<EmissionPipeline>(&merger);
+    cfg.emission_pipeline = emission.get();
   }
   ScaleNetwork net(&sim, &fabric, cfg);
   if (mode == SealMode::kCoordinator) {
-    sim.AddBarrierHook(
-        [&merger](Tick window_end) { merger.AdvanceWatermark(window_end); });
+    for (size_t i = 0; i < net.size(); ++i) {
+      net.mote(i).logger().SetSink(&merger, net.mote(i).id());
+    }
+    sim.AddBarrierHook([&net, &merger](Tick window_end) {
+      for (size_t i = 0; i < net.size(); ++i) {
+        net.mote(i).logger().SealToSink();
+      }
+      merger.AdvanceWatermark(window_end);
+    });
   }
 
   net.PowerUp();
@@ -360,6 +354,9 @@ PipelineRun RunRelay(SealMode mode, size_t threads, size_t motes,
       }
     }
   } else {
+    // Streamed: drains the emission pipeline (kPremerged) or seals every
+    // logger's tail into the merger (kCoordinator, a network without
+    // builders), so this thread may read the merger afterwards.
     net.SealAllChunks();
     merger.Finish();
     run.merge_hash = merger.hash();
@@ -381,8 +378,8 @@ PipelineRun RunRelay(SealMode mode, size_t threads, size_t motes,
 TEST(BarrierPipelineTest, PremergedMatchesCoordinatorSealAndBatchAt1_2_4) {
   // The golden-hash equivalence proof for the parallel barrier pipeline:
   // identical event sequences, merged fingerprints and streamed
-  // regression coefficients vs both the PR 4 coordinator sweep and the
-  // batch merge, at 1, 2 and 4 worker threads.
+  // regression coefficients vs both a coordinator-side seal of every mote
+  // and the batch merge, at 1, 2 and 4 worker threads.
   StreamingPipeline batch_pipeline;
   PipelineRun batch =
       RunRelay(SealMode::kBatch, 1, 64, 1.5, 1 << 16, &batch_pipeline);
@@ -391,7 +388,25 @@ TEST(BarrierPipelineTest, PremergedMatchesCoordinatorSealAndBatchAt1_2_4) {
   StreamingPipeline coord_pipeline;
   PipelineRun coordinator = RunRelay(SealMode::kCoordinator, 1, 64, 1.5, 512,
                                      &coord_pipeline);
+  EXPECT_EQ(coordinator.dropped, 0u);
+  EXPECT_EQ(coordinator.seq_gaps, 0u);
+  EXPECT_EQ(coordinator.executed, batch.executed);
+  EXPECT_EQ(coordinator.emitted, batch.emitted);
   EXPECT_EQ(coordinator.merge_hash, batch.merge_hash);
+  // The sweep visits idle motes too: its empty seals (suppressed before
+  // the merger, so chunks stay below one per mote per window) are what
+  // the dirty lists avoid.
+  EXPECT_GT(coordinator.empty_seals_skipped, 0u);
+  EXPECT_GT(coordinator.chunks_sealed, 0u);
+  EXPECT_LT(coordinator.chunks_sealed,
+            coordinator.windows * coordinator.motes);
+  ASSERT_EQ(coordinator.fit.ok, batch.fit.ok);
+  ASSERT_EQ(coordinator.fit.coefficients.size(),
+            batch.fit.coefficients.size());
+  for (size_t i = 0; i < batch.fit.coefficients.size(); ++i) {
+    EXPECT_EQ(coordinator.fit.coefficients[i], batch.fit.coefficients[i])
+        << "coefficient " << i;
+  }
 
   for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
     StreamingPipeline premerge_pipeline;
@@ -402,6 +417,7 @@ TEST(BarrierPipelineTest, PremergedMatchesCoordinatorSealAndBatchAt1_2_4) {
     EXPECT_EQ(premerged.executed, batch.executed) << threads;
     EXPECT_EQ(premerged.emitted, batch.emitted) << threads;
     EXPECT_EQ(premerged.merge_hash, batch.merge_hash) << threads;
+    EXPECT_EQ(premerged.merge_hash, coordinator.merge_hash) << threads;
 
     // Bitwise-equal regression output (the analysis sees the same bytes).
     ASSERT_EQ(premerged.fit.ok, batch.fit.ok);
@@ -423,29 +439,12 @@ TEST(BarrierPipelineTest, PremergedMatchesCoordinatorSealAndBatchAt1_2_4) {
   }
 }
 
-TEST(BarrierPipelineTest, CoordinatorSweepPaysEmptySealsPremergeDoesNot) {
-  // The counter-level statement of the empty-seal satellite: the sweep
-  // visits every mote every window (idle visits counted by
-  // empty_seals_skipped, and suppressed before reaching the merger); the
-  // dirty-list pipeline never makes the visit in the first place.
-  PipelineRun coordinator = RunRelay(SealMode::kCoordinator, 1, 48, 0.5, 512);
-  EXPECT_GT(coordinator.empty_seals_skipped, 0u);
-  EXPECT_GT(coordinator.chunks_sealed, 0u);
-  EXPECT_LT(coordinator.chunks_sealed,
-            coordinator.windows * coordinator.motes);
-
-  PipelineRun premerged = RunRelay(SealMode::kPremerged, 1, 48, 0.5, 512);
-  EXPECT_EQ(premerged.empty_seals_skipped, 0u);
-  EXPECT_EQ(premerged.merge_hash, coordinator.merge_hash);
-}
-
 TEST(BarrierPipelineTest, SpillBytesIdenticalToBatchWriter) {
-  // Byte-level equivalence all the way to disk: a premerged streamed run
-  // spilling through FileTraceSink (single segment) produces the exact
-  // file the batch path's WriteTraceFile produces — which is what makes
-  // quanto_report output byte-identical across the pipelines.
-  PipelineRun batch = RunRelay(SealMode::kBatch, 2, 48, 1.0, 1 << 16);
-
+  // Byte-level equivalence all the way to disk: streamed runs spilling
+  // through FileTraceSink (single segment) — pre-merged at 4 threads, and
+  // the coordinator-side seal — produce the exact file the batch path's
+  // WriteTraceFile produces, which is what makes quanto_report output
+  // byte-identical across collection modes.
   std::string batch_path = ::testing::TempDir() + "/barrier_batch.qnto";
   {
     ShardedSimulator::Config sim_cfg;
@@ -467,10 +466,15 @@ TEST(BarrierPipelineTest, SpillBytesIdenticalToBatchWriter) {
         batch_path, MergedEntryStream(MergeTraces(CollectNodeTraces(net)))));
   }
 
-  std::string spill_path = ::testing::TempDir() + "/barrier_premerge.qnto";
+  std::string premerge_path = ::testing::TempDir() + "/barrier_premerge.qnto";
   PipelineRun premerged =
-      RunRelay(SealMode::kPremerged, 2, 48, 1.0, 512, nullptr, spill_path);
-  EXPECT_EQ(premerged.merge_hash, batch.merge_hash);
+      RunRelay(SealMode::kPremerged, 4, 48, 1.0, 512, nullptr, premerge_path);
+  std::string coord_path = ::testing::TempDir() + "/barrier_coord.qnto";
+  PipelineRun coordinator =
+      RunRelay(SealMode::kCoordinator, 1, 48, 1.0, 512, nullptr, coord_path);
+  EXPECT_EQ(premerged.dropped, 0u);
+  EXPECT_EQ(coordinator.dropped, 0u);
+  EXPECT_EQ(premerged.merge_hash, coordinator.merge_hash);
 
   auto read_all = [](const std::string& path) {
     std::ifstream in(path, std::ios::binary);
@@ -478,34 +482,58 @@ TEST(BarrierPipelineTest, SpillBytesIdenticalToBatchWriter) {
                        std::istreambuf_iterator<char>());
   };
   std::string batch_bytes = read_all(batch_path);
-  std::string spill_bytes = read_all(spill_path);
   ASSERT_FALSE(batch_bytes.empty());
-  EXPECT_EQ(spill_bytes, batch_bytes);
+  EXPECT_EQ(read_all(premerge_path), batch_bytes);
+  EXPECT_EQ(read_all(coord_path), batch_bytes);
   std::remove(batch_path.c_str());
-  std::remove(spill_path.c_str());
+  std::remove(premerge_path.c_str());
+  std::remove(coord_path.c_str());
 }
 
 TEST(BarrierPipelineTest, SingleEngineBuildDegradesToPlainStreaming) {
   // A single-engine build has no shards to pre-merge across: the config
-  // degrades to plain streamed collection into the same merger, driven by
-  // manual SealAllChunks.
-  EventQueue queue;
-  Medium medium(&queue);
-  StreamingTraceMerger merger;
-  ScaleNetworkConfig cfg;
-  cfg.motes = 8;
-  cfg.log_capacity = 1 << 12;
-  cfg.premerged_sink = &merger;
-  ScaleNetwork net(&queue, &medium, cfg);
-  EXPECT_FALSE(net.premerge_active());
-  net.PowerUp();
-  queue.RunFor(Milliseconds(5));
-  net.StartApps();
-  queue.RunFor(Seconds(0.2));
-  net.SealAllChunks();
-  merger.Finish();
-  EXPECT_GT(merger.emitted(), 10u);
-  EXPECT_EQ(merger.seq_gaps(), 0u);
+  // degrades to plain streamed collection — every logger sealed straight
+  // into the pipeline's merger by SealAllChunks — and that stream equals
+  // the batch merge of the same single-engine run.
+  auto run = [](bool streamed, uint64_t* hash, uint64_t* emitted) {
+    EventQueue queue;
+    Medium medium(&queue);
+    StreamingTraceMerger merger;
+    EmissionPipeline pipeline(&merger);
+    ScaleNetworkConfig cfg;
+    cfg.motes = 8;
+    cfg.log_capacity = 1 << 12;
+    if (streamed) {
+      cfg.emission_pipeline = &pipeline;
+    }
+    ScaleNetwork net(&queue, &medium, cfg);
+    EXPECT_FALSE(net.premerge_active());
+    net.PowerUp();
+    queue.RunFor(Milliseconds(5));
+    net.StartApps();
+    queue.RunFor(Seconds(0.2));
+    EXPECT_EQ(net.entries_dropped(), 0u);
+    if (streamed) {
+      net.SealAllChunks();
+      merger.Finish();
+      EXPECT_EQ(merger.seq_gaps(), 0u);
+      *hash = merger.hash();
+      *emitted = merger.emitted();
+    } else {
+      std::vector<MergedEntry> merged = MergeTraces(CollectNodeTraces(net));
+      *hash = MergedTraceHash(merged);
+      *emitted = merged.size();
+    }
+  };
+  uint64_t batch_hash = 0;
+  uint64_t batch_emitted = 0;
+  run(false, &batch_hash, &batch_emitted);
+  uint64_t streamed_hash = 0;
+  uint64_t streamed_emitted = 0;
+  run(true, &streamed_hash, &streamed_emitted);
+  EXPECT_GT(streamed_emitted, 10u);
+  EXPECT_EQ(streamed_emitted, batch_emitted);
+  EXPECT_EQ(streamed_hash, batch_hash);
 }
 
 }  // namespace

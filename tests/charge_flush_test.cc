@@ -1,18 +1,21 @@
 // The fused worker-side charge flush: one dirty pass per mote-window.
 //
-// PR 9 moved the batched CPU self-charge flush off the serial barrier
-// hook and fused it into the per-shard pre-barrier seal pass
-// (ShardRunBuilder::BuildRun with flush_charges), reusing the seal dirty
-// list as the unified dirty list. The contract under test is fourfold:
-//  * Equivalence — the fused path reproduces the serial-hook and legacy-
-//    sweep simulations event for event: equal merged-trace hashes (batch
-//    and streamed), equal executed-event counts, at 1/2/4 threads, on
-//    both topologies.
-//  * One pass, not two — fused and serial-hook runs visit exactly the
-//    same dirty loggers (charge_flush_visits equal), and every visit that
-//    owed cycles handed them over (charge_flushes equal across all three
-//    paths, legacy sweep included — its extra visits are zero-pending
-//    no-ops).
+// PR 9 moved the batched CPU self-charge flush of streamed runs off the
+// serial barrier hook and fused it into the per-shard pre-barrier seal
+// pass (ShardRunBuilder::BuildRun with flush_charges), reusing the seal
+// dirty list as the unified dirty list. Batch-collected runs have no
+// builders and keep the serial hook — over per-shard dirty lists, or
+// over every mote with legacy_full_charge_sweep — which makes them the
+// references the fused pass is compared against. The contract under test
+// is fourfold:
+//  * Equivalence — the fused pass reproduces the serial-hook and full-
+//    sweep simulations event for event: equal merged-trace hashes, equal
+//    executed-event counts, at 1/2/4 threads, on both topologies.
+//  * One pass, not two — the fused pass and the serial dirty-list hook
+//    visit exactly the same dirty loggers (charge_flush_visits equal),
+//    and every visit that owed cycles handed them over (charge_flushes
+//    equal on all three, the full sweep included — its extra visits are
+//    zero-pending no-ops).
 //  * Order — a shard's fused pass flushes in ascending node-id order,
 //    the historical sweep's per-queue order.
 //  * Unified dirty list — under batch charging the log-dirty and
@@ -22,8 +25,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
+#include "src/analysis/emission_pipeline.h"
 #include "src/analysis/trace_merge.h"
 #include "src/apps/scale_network.h"
 #include "src/core/logger.h"
@@ -62,16 +67,11 @@ class RecordingChargeHook : public CpuChargeHook {
   uint32_t id_;
 };
 
-// --- Three-path workload equivalence ----------------------------------------
-
-// Which of the three retained flush paths a run takes.
-enum class FlushPath { kFused, kSerialHook, kLegacySweep };
+// --- Workload equivalence: fused pass vs the serial flush -------------------
 
 struct FlushRun {
-  uint64_t streamed_hash = 0;  // The merger's online fingerprint.
-  uint64_t batch_hash = 0;     // Post-hoc merge of the unsealed tails: 0
-                               // here (streamed runs leave no tail), kept
-                               // for the batch variant below.
+  uint64_t hash = 0;  // Streamed: the merger's online fingerprint; batch:
+                      // the post-hoc merge. Equal for one simulation.
   uint64_t visits = 0;
   uint64_t windows = 0;
   uint64_t flushes = 0;  // Nonzero-pending FlushCpuCharge calls.
@@ -79,7 +79,11 @@ struct FlushRun {
   bool fused = false;
 };
 
-FlushRun RunStreamed(ScaleTopology topology, size_t threads, FlushPath path) {
+// One 128-mote workload, either streamed through the emission pipeline
+// (the fused flush) or batch-collected (the serial flush hook, over the
+// dirty lists or, with `legacy_sweep`, over every mote).
+FlushRun RunWorkload(ScaleTopology topology, size_t threads, bool streamed,
+                     bool legacy_sweep = false) {
   ShardedSimulator::Config sim_cfg;
   sim_cfg.shards = 8;
   sim_cfg.threads = threads;
@@ -87,6 +91,8 @@ FlushRun RunStreamed(ScaleTopology topology, size_t threads, FlushPath path) {
   ShardedSimulator sim(sim_cfg);
   MediumFabric fabric(&sim);
   StreamingTraceMerger merger;
+  // Joins before the merger is destroyed (reverse declaration order).
+  std::unique_ptr<EmissionPipeline> emission;
   ScaleNetworkConfig cfg;
   cfg.motes = 128;
   cfg.topology = topology;
@@ -94,19 +100,25 @@ FlushRun RunStreamed(ScaleTopology topology, size_t threads, FlushPath path) {
     cfg.sinks = 4;
   }
   cfg.batch_log_charging = true;
-  cfg.serial_charge_flush = path == FlushPath::kSerialHook;
-  cfg.legacy_full_charge_sweep = path == FlushPath::kLegacySweep;
-  cfg.premerged_sink = &merger;
-  cfg.log_capacity = 1024;
+  cfg.legacy_full_charge_sweep = legacy_sweep;
+  if (streamed) {
+    emission = std::make_unique<EmissionPipeline>(&merger);
+    cfg.emission_pipeline = emission.get();
+    cfg.log_capacity = 1024;
+  }
   ScaleNetwork net(&sim, &fabric, cfg);
   net.PowerUp();
   sim.RunFor(Milliseconds(5));
   net.StartApps();
   sim.RunFor(Seconds(1.0));
-  net.SealAllChunks();
-  merger.Finish();
   FlushRun r;
-  r.streamed_hash = merger.hash();
+  if (streamed) {
+    net.SealAllChunks();
+    merger.Finish();
+    r.hash = merger.hash();
+  } else {
+    r.hash = MergedTraceHash(MergeTraces(CollectNodeTraces(net)));
+  }
   r.visits = net.charge_flush_visits();
   r.windows = net.charge_flush_windows();
   r.flushes = net.charge_flushes();
@@ -115,45 +127,19 @@ FlushRun RunStreamed(ScaleTopology topology, size_t threads, FlushPath path) {
   return r;
 }
 
-// Batch-collected variant (no sink, builders absent, so the flush is the
-// serial hook regardless of the flag): the reference the streamed hashes
-// must equal.
-uint64_t RunBatchHash(ScaleTopology topology, size_t threads) {
-  ShardedSimulator::Config sim_cfg;
-  sim_cfg.shards = 8;
-  sim_cfg.threads = threads;
-  sim_cfg.lookahead = Microseconds(512);
-  ShardedSimulator sim(sim_cfg);
-  MediumFabric fabric(&sim);
-  ScaleNetworkConfig cfg;
-  cfg.motes = 128;
-  cfg.topology = topology;
-  if (topology == ScaleTopology::kGrid) {
-    cfg.sinks = 4;
-  }
-  cfg.batch_log_charging = true;
-  ScaleNetwork net(&sim, &fabric, cfg);
-  net.PowerUp();
-  sim.RunFor(Milliseconds(5));
-  net.StartApps();
-  sim.RunFor(Seconds(1.0));
-  return MergedTraceHash(MergeTraces(CollectNodeTraces(net)));
-}
-
 class ChargeFlushPathTest : public ::testing::TestWithParam<ScaleTopology> {};
 
 TEST_P(ChargeFlushPathTest, FusedMatchesSerialHookAcrossThreadCounts) {
   ScaleTopology topo = GetParam();
-  FlushRun serial = RunStreamed(topo, 1, FlushPath::kSerialHook);
+  FlushRun serial = RunWorkload(topo, 1, /*streamed=*/false);
   EXPECT_FALSE(serial.fused);
   EXPECT_GT(serial.visits, 0u);
   for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
-    FlushRun fused = RunStreamed(topo, threads, FlushPath::kFused);
+    FlushRun fused = RunWorkload(topo, threads, /*streamed=*/true);
     EXPECT_TRUE(fused.fused) << "threads " << threads;
     // Same simulation, event for event and byte for byte.
     EXPECT_EQ(fused.executed, serial.executed) << "threads " << threads;
-    EXPECT_EQ(fused.streamed_hash, serial.streamed_hash)
-        << "threads " << threads;
+    EXPECT_EQ(fused.hash, serial.hash) << "threads " << threads;
     // One pass per dirty mote per window, not two: the fused walk visits
     // exactly the loggers the serial hook's charge-dirty lists held (the
     // unified-dirty-list coincidence), and every visit flushed.
@@ -166,10 +152,11 @@ TEST_P(ChargeFlushPathTest, FusedMatchesSerialHookAcrossThreadCounts) {
 
 TEST_P(ChargeFlushPathTest, LegacySweepMatchesFusedHashAndFlushes) {
   ScaleTopology topo = GetParam();
-  FlushRun fused = RunStreamed(topo, 2, FlushPath::kFused);
-  FlushRun sweep = RunStreamed(topo, 2, FlushPath::kLegacySweep);
+  FlushRun fused = RunWorkload(topo, 2, /*streamed=*/true);
+  FlushRun sweep =
+      RunWorkload(topo, 2, /*streamed=*/false, /*legacy_sweep=*/true);
   EXPECT_FALSE(sweep.fused);
-  EXPECT_EQ(sweep.streamed_hash, fused.streamed_hash);
+  EXPECT_EQ(sweep.hash, fused.hash);
   EXPECT_EQ(sweep.executed, fused.executed);
   // The sweep visits every mote every window, exactly; only the visits
   // that owed cycles charged anything, and those equal the fused flushes.
@@ -182,10 +169,10 @@ TEST_P(ChargeFlushPathTest, LegacySweepMatchesFusedHashAndFlushes) {
 
 TEST_P(ChargeFlushPathTest, StreamedFusedMatchesBatchCollection) {
   ScaleTopology topo = GetParam();
-  uint64_t batch = RunBatchHash(topo, 2);
+  uint64_t batch = RunWorkload(topo, 2, /*streamed=*/false).hash;
   for (size_t threads : {size_t{1}, size_t{2}}) {
-    FlushRun fused = RunStreamed(topo, threads, FlushPath::kFused);
-    EXPECT_EQ(fused.streamed_hash, batch) << "threads " << threads;
+    FlushRun fused = RunWorkload(topo, threads, /*streamed=*/true);
+    EXPECT_EQ(fused.hash, batch) << "threads " << threads;
   }
 }
 
@@ -245,7 +232,7 @@ TEST(FusedFlushOrderTest, FlushesInAscendingNodeIdOrder) {
 
 TEST(FusedFlushOrderTest, UnfusedBuildRunLeavesChargesPending) {
   // The tail flush (SealAllChunks) passes flush_charges=false: charges
-  // stay pending, matching the serial paths, which never flush at the
+  // stay pending, matching the serial flush, which never flushes at the
   // tail either — visit parity depends on it.
   FakeClock clock;
   FakeCounter meter;

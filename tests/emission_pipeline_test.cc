@@ -4,9 +4,9 @@
 // The contract under test:
 //  * Equivalence — with the consumer thread between the barrier and the
 //    merger, the emitted sequence, FNV fingerprint, spill bytes and
-//    streamed regression coefficients are byte-identical to the
-//    synchronous pre-merged path (and the batch merge) at any thread
-//    count and any queue depth.
+//    streamed regression coefficients are byte-identical to a merge
+//    finished inside every barrier (and to the batch merge) at any
+//    thread count and any queue depth.
 //  * Backpressure — the bounded queue blocks the producer only when the
 //    consumer falls max_depth windows behind, and the stall is counted.
 //  * Lifecycle — early teardown joins the consumer after finishing the
@@ -196,8 +196,18 @@ struct PipelineRun {
   PipelineResult fit;
 };
 
-enum class EmitMode { kBatch, kSyncPremerged, kAsync };
+// kAsync is the runner's streamed path: the consumer merges while the
+// shards run the next windows. kSync streams through the same pipeline
+// but drains it from a barrier hook after every hand-off, so each
+// window's merge finishes before the shards are released — the merge
+// inside the barrier that off-barrier emission replaces.
+enum class EmitMode { kBatch, kSync, kAsync };
 
+// One relay run, batch-collected or streamed through the pipeline. With a
+// `spill_path`, a streamed run spills through FileTraceSink (one huge
+// segment) and a batch run writes its merge with WriteTraceFile, so the
+// two files are byte-comparable. With a `pipeline`, the merged stream
+// also feeds that streaming regression.
 PipelineRun RunRelay(EmitMode mode, size_t threads, size_t motes,
                      double seconds, size_t emission_depth,
                      StreamingPipeline* pipeline = nullptr,
@@ -211,8 +221,7 @@ PipelineRun RunRelay(EmitMode mode, size_t threads, size_t motes,
 
   StreamingTraceMerger merger;
   std::unique_ptr<FileTraceSink> spill;
-  if (!spill_path.empty()) {
-    // One huge segment: byte-comparable to the batch writer's single blob.
+  if (mode != EmitMode::kBatch && !spill_path.empty()) {
     spill = std::make_unique<FileTraceSink>(spill_path, 1 << 24);
     FileTraceSink* sink = spill.get();
     merger.SetEmit([sink](const MergedEntry& m) { sink->Append(m.entry); });
@@ -227,15 +236,15 @@ PipelineRun RunRelay(EmitMode mode, size_t threads, size_t motes,
   cfg.motes = motes;
   cfg.log_capacity = mode == EmitMode::kBatch ? (1 << 16) : 512;
   cfg.batch_log_charging = true;
-  if (mode == EmitMode::kAsync) {
+  if (mode != EmitMode::kBatch) {
     emission = std::make_unique<EmissionPipeline>(&merger, emission_depth);
     cfg.emission_pipeline = emission.get();
-  } else if (mode == EmitMode::kSyncPremerged) {
-    cfg.premerged_sink = &merger;
   }
   ScaleNetwork net(&sim, &fabric, cfg);
-  if (mode == EmitMode::kAsync) {
-    EXPECT_TRUE(net.async_emission_active());
+  if (mode == EmitMode::kSync) {
+    // Hooks run in registration order: after the network's hand-off.
+    EmissionPipeline* pipe = emission.get();
+    sim.AddBarrierHook([pipe](Tick) { pipe->Drain(); });
   }
 
   net.PowerUp();
@@ -250,27 +259,28 @@ PipelineRun RunRelay(EmitMode mode, size_t threads, size_t motes,
     std::vector<MergedEntry> merged = MergeTraces(CollectNodeTraces(net));
     run.merge_hash = MergedTraceHash(merged);
     run.emitted = merged.size();
+    if (!spill_path.empty()) {
+      EXPECT_TRUE(WriteTraceFile(spill_path, MergedEntryStream(merged)));
+    }
     if (pipeline != nullptr) {
       for (const MergedEntry& m : merged) {
         pipeline->Add(m.entry);
       }
     }
   } else {
-    // SealAllChunks drains the hand-off queue on the async path, so the
-    // hash read below is the final one.
+    // SealAllChunks drains the hand-off queue, so the hash read below is
+    // the final one.
     net.SealAllChunks();
     merger.Finish();
     run.merge_hash = merger.hash();
     run.emitted = merger.emitted();
     run.seq_gaps = merger.seq_gaps() + net.premerge_seq_gaps();
-    if (emission != nullptr) {
-      run.stall_us = emission->consumer_stall_us();
-      run.runs_queued_peak = emission->runs_queued_peak();
-      EXPECT_EQ(emission->windows_submitted(), emission->windows_consumed());
+    run.stall_us = emission->consumer_stall_us();
+    run.runs_queued_peak = emission->runs_queued_peak();
+    EXPECT_EQ(emission->windows_submitted(), emission->windows_consumed());
+    if (spill != nullptr) {
+      EXPECT_TRUE(spill->Close());
     }
-  }
-  if (spill != nullptr) {
-    EXPECT_TRUE(spill->Close());
   }
   if (pipeline != nullptr) {
     run.fit = pipeline->Solve();
@@ -281,17 +291,25 @@ PipelineRun RunRelay(EmitMode mode, size_t threads, size_t motes,
 TEST(EmissionPipelineTest, AsyncMatchesSyncAndBatchAt1_2_4Threads) {
   // The golden-hash equivalence proof for off-barrier emission: identical
   // event sequences, merged fingerprints and bitwise-equal streamed
-  // regression coefficients vs the synchronous pre-merged path and the
-  // batch merge, at 1, 2 and 4 worker threads.
+  // regression coefficients vs a merge finished inside every barrier and
+  // the batch merge, at 1, 2 and 4 worker threads.
   StreamingPipeline batch_pipeline;
   PipelineRun batch =
       RunRelay(EmitMode::kBatch, 1, 64, 1.0, 0, &batch_pipeline);
   ASSERT_GT(batch.emitted, 1000u);
 
   StreamingPipeline sync_pipeline;
-  PipelineRun sync =
-      RunRelay(EmitMode::kSyncPremerged, 1, 64, 1.0, 0, &sync_pipeline);
+  PipelineRun sync = RunRelay(EmitMode::kSync, 1, 64, 1.0,
+                              EmissionPipeline::kDefaultMaxDepth,
+                              &sync_pipeline);
+  EXPECT_EQ(sync.dropped, 0u);
+  EXPECT_EQ(sync.seq_gaps, 0u);
+  EXPECT_EQ(sync.emitted, batch.emitted);
   EXPECT_EQ(sync.merge_hash, batch.merge_hash);
+  // Lock-step: the queue never held more than one window (one run per
+  // shard), so it never filled and the producer never stalled.
+  EXPECT_LE(sync.runs_queued_peak, 8u);
+  EXPECT_EQ(sync.stall_us, 0u);
 
   for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
     StreamingPipeline async_pipeline;
@@ -303,12 +321,16 @@ TEST(EmissionPipelineTest, AsyncMatchesSyncAndBatchAt1_2_4Threads) {
     EXPECT_EQ(async_run.executed, batch.executed) << threads;
     EXPECT_EQ(async_run.emitted, batch.emitted) << threads;
     EXPECT_EQ(async_run.merge_hash, batch.merge_hash) << threads;
+    EXPECT_EQ(async_run.merge_hash, sync.merge_hash) << threads;
 
     ASSERT_EQ(async_run.fit.ok, batch.fit.ok);
     ASSERT_EQ(async_run.fit.coefficients.size(),
               batch.fit.coefficients.size());
+    ASSERT_EQ(sync.fit.coefficients.size(), batch.fit.coefficients.size());
     for (size_t i = 0; i < batch.fit.coefficients.size(); ++i) {
       EXPECT_EQ(async_run.fit.coefficients[i], batch.fit.coefficients[i])
+          << "coefficient " << i << " at " << threads << " threads";
+      EXPECT_EQ(async_run.fit.coefficients[i], sync.fit.coefficients[i])
           << "coefficient " << i << " at " << threads << " threads";
     }
   }
@@ -317,47 +339,33 @@ TEST(EmissionPipelineTest, AsyncMatchesSyncAndBatchAt1_2_4Threads) {
 TEST(EmissionPipelineTest, TailFlushDrainsTinyDepthQueueBeforeFinalHash) {
   // Depth 1 forces the producer through the backpressure path on nearly
   // every window; the tail flush must still drain everything before the
-  // final hash — asserted byte-identical to the synchronous path.
-  PipelineRun sync = RunRelay(EmitMode::kSyncPremerged, 1, 48, 0.5, 0);
+  // final hash — asserted equal to the batch merge of the same run.
+  PipelineRun batch = RunRelay(EmitMode::kBatch, 1, 48, 0.5, 0);
   PipelineRun tiny = RunRelay(EmitMode::kAsync, 1, 48, 0.5, 1);
   EXPECT_EQ(tiny.dropped, 0u);
   EXPECT_EQ(tiny.seq_gaps, 0u);
-  EXPECT_EQ(tiny.emitted, sync.emitted);
-  EXPECT_EQ(tiny.merge_hash, sync.merge_hash);
+  EXPECT_EQ(tiny.executed, batch.executed);
+  EXPECT_EQ(tiny.emitted, batch.emitted);
+  EXPECT_EQ(tiny.merge_hash, batch.merge_hash);
   // Backpressure kept the queue at its bound, whatever the stall count.
   EXPECT_GE(tiny.runs_queued_peak, 1u);
 }
 
 TEST(EmissionPipelineTest, SpillBytesIdenticalAcrossAsyncAndBatchWriter) {
   // Byte-level equivalence all the way to disk, with the spill writer
-  // running on the consumer thread: the async spill file equals the batch
-  // path's WriteTraceFile output exactly.
+  // running on the consumer thread: a streamed run spilling through
+  // FileTraceSink (single segment) produces the exact file the batch
+  // path's WriteTraceFile produces — which is what makes quanto_report
+  // output byte-identical across the two collection modes.
   std::string batch_path = ::testing::TempDir() + "/emission_batch.qnto";
-  {
-    ShardedSimulator::Config sim_cfg;
-    sim_cfg.shards = 8;
-    sim_cfg.threads = 2;
-    sim_cfg.lookahead = Microseconds(512);
-    ShardedSimulator sim(sim_cfg);
-    MediumFabric fabric(&sim);
-    ScaleNetworkConfig cfg;
-    cfg.motes = 48;
-    cfg.log_capacity = 1 << 16;
-    cfg.batch_log_charging = true;
-    ScaleNetwork net(&sim, &fabric, cfg);
-    net.PowerUp();
-    sim.RunFor(Milliseconds(5));
-    net.StartApps();
-    sim.RunFor(Seconds(1));
-    ASSERT_TRUE(WriteTraceFile(
-        batch_path, MergedEntryStream(MergeTraces(CollectNodeTraces(net)))));
-  }
-
   std::string async_path = ::testing::TempDir() + "/emission_async.qnto";
+  PipelineRun batch =
+      RunRelay(EmitMode::kBatch, 2, 48, 1.0, 0, nullptr, batch_path);
   PipelineRun async_run = RunRelay(EmitMode::kAsync, 2, 48, 1.0,
-                                   EmissionPipeline::kDefaultMaxDepth, nullptr,
-                                   async_path);
+                                   EmissionPipeline::kDefaultMaxDepth,
+                                   nullptr, async_path);
   EXPECT_EQ(async_run.dropped, 0u);
+  EXPECT_EQ(async_run.merge_hash, batch.merge_hash);
 
   auto read_all = [](const std::string& path) {
     std::ifstream in(path, std::ios::binary);
@@ -387,7 +395,6 @@ TEST(EmissionPipelineTest, SingleEngineBuildDegradesToPlainStreaming) {
   cfg.emission_pipeline = &pipeline;
   ScaleNetwork net(&queue, &medium, cfg);
   EXPECT_FALSE(net.premerge_active());
-  EXPECT_FALSE(net.async_emission_active());
   net.PowerUp();
   queue.RunFor(Milliseconds(5));
   net.StartApps();

@@ -3,6 +3,7 @@
 // the retained serial gather+stable_sort path — byte-identical merged
 // traces at 1/2/4 worker threads, identical wakeup counters — while the
 // lane-skip fast path and the per-window drain profiling actually engage.
+// The serial path is kept only as this reference.
 
 #include <gtest/gtest.h>
 
@@ -279,36 +280,30 @@ TEST(FabricDrainTest, IdleChannelLanesAreSkippedWholesale) {
 }
 
 TEST(FabricDrainTest, DrainProfilingRecordsOneSamplePerWindow) {
-  for (bool serial_drain : {false, true}) {
-    SCOPED_TRACE(serial_drain ? "serial drain" : "parallel drain");
-    ShardedSimulator::Config sim_cfg;
-    sim_cfg.shards = 4;
-    sim_cfg.threads = 2;
-    sim_cfg.lookahead = Microseconds(512);
-    ShardedSimulator sim(sim_cfg);
-    sim.EnableBarrierProfiling(true);
-    MediumFabric::Config fab_cfg;
-    fab_cfg.serial_drain = serial_drain;
-    MediumFabric fabric(&sim, fab_cfg);
-    fabric.EnableDrainProfiling(true);
+  ShardedSimulator::Config sim_cfg;
+  sim_cfg.shards = 4;
+  sim_cfg.threads = 2;
+  sim_cfg.lookahead = Microseconds(512);
+  ShardedSimulator sim(sim_cfg);
+  sim.EnableBarrierProfiling(true);
+  MediumFabric fabric(&sim);
+  fabric.EnableDrainProfiling(true);
 
-    ScaleNetworkConfig cfg;
-    cfg.motes = 16;
-    cfg.batch_log_charging = true;
-    ScaleNetwork net(&sim, &fabric, cfg);
-    net.PowerUp();
-    net.StartApps();
-    sim.RunFor(Milliseconds(100));
+  ScaleNetworkConfig cfg;
+  cfg.motes = 16;
+  cfg.batch_log_charging = true;
+  ScaleNetwork net(&sim, &fabric, cfg);
+  net.PowerUp();
+  net.StartApps();
+  sim.RunFor(Milliseconds(100));
 
-    ASSERT_GT(sim.windows_run(), 0u);
-    // One fabric-side drain sample per window on either path; the
-    // sim-side phase series always matches the hook series in length,
-    // with the drain phase only populated when drain tasks exist.
-    EXPECT_EQ(fabric.drain_us_samples().size(), sim.windows_run());
-    EXPECT_EQ(sim.drain_phase_us_samples().size(), sim.windows_run());
-    EXPECT_EQ(sim.barrier_us_samples().size(), sim.windows_run());
-    EXPECT_EQ(sim.window_us_samples().size(), sim.windows_run());
-  }
+  ASSERT_GT(sim.windows_run(), 0u);
+  // One fabric-side drain sample per window; the sim-side phase series
+  // match the hook series in length.
+  EXPECT_EQ(fabric.drain_us_samples().size(), sim.windows_run());
+  EXPECT_EQ(sim.drain_phase_us_samples().size(), sim.windows_run());
+  EXPECT_EQ(sim.barrier_us_samples().size(), sim.windows_run());
+  EXPECT_EQ(sim.window_us_samples().size(), sim.windows_run());
 }
 
 }  // namespace

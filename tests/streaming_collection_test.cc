@@ -6,14 +6,17 @@
 // observation, not simulation), and (b) emit the exact merged entry
 // sequence — order, content, FNV fingerprint — that the post-hoc
 // MergeTraces path produces, online and with O(window) resident state.
+// Sharded runs stream through the one collection path there is: dirty
+// loggers sealed into per-shard runs on the workers, merged off the
+// barrier by an EmissionPipeline.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <map>
 #include <string>
 #include <vector>
 
+#include "src/analysis/emission_pipeline.h"
 #include "src/analysis/streaming.h"
 #include "src/analysis/trace_io.h"
 #include "src/analysis/trace_merge.h"
@@ -256,23 +259,22 @@ ShardedStreamRun RunStreamedRelay(size_t threads, size_t motes,
   if (pipeline != nullptr) {
     merger.SetEmit([pipeline](const MergedEntry& m) { pipeline->Add(m.entry); });
   }
+  // Joins before the merger is destroyed (reverse declaration order).
+  EmissionPipeline emission(&merger);
   ScaleNetworkConfig cfg;
   cfg.motes = motes;
   cfg.log_capacity = log_capacity;
   cfg.batch_log_charging = true;
   cfg.topology = topology;
   cfg.sinks = sinks;
-  cfg.trace_sink = &merger;
+  cfg.emission_pipeline = &emission;
   ScaleNetwork net(&sim, &fabric, cfg);
-  // After ScaleNetwork's per-window seal hook, so each watermark advance
-  // sees the window's chunks already merged in.
-  sim.AddBarrierHook(
-      [&merger](Tick window_end) { merger.AdvanceWatermark(window_end); });
 
   net.PowerUp();
   sim.RunFor(Milliseconds(5));
   net.StartApps();
   sim.RunFor(static_cast<Tick>(seconds * kTicksPerSecond));
+  // Drains the pipeline, so this thread may touch the merger again.
   net.SealAllChunks();
   merger.Finish();
 
@@ -282,7 +284,7 @@ ShardedStreamRun RunStreamedRelay(size_t threads, size_t motes,
   run.emitted = merger.emitted();
   run.dropped = net.entries_dropped();
   run.peak_buffered = merger.peak_buffered();
-  run.seq_gaps = merger.seq_gaps();
+  run.seq_gaps = merger.seq_gaps() + net.premerge_seq_gaps();
   if (pipeline != nullptr) {
     run.fit = pipeline->Solve();
   }
@@ -326,10 +328,12 @@ BatchRun RunBatchRelay(size_t threads, size_t motes, double seconds,
 
 TEST(StreamingCollectionTest, StreamedRunMatchesBatchRunExactly) {
   // The golden-hash equivalence proof: same workload, batch collection vs
-  // streamed collection (small bounded rings, barrier seals, online
-  // merge). Event sequence and merged fingerprint must both be identical
-  // — streaming changes where bytes live, never what is simulated or what
-  // the analysis sees.
+  // streamed collection (small bounded rings, dirty loggers sealed into
+  // per-shard runs on the workers, merged off the barrier). Event
+  // sequence and merged fingerprint must both be identical — streaming
+  // changes where bytes live, never what is simulated or what the
+  // analysis sees. (At 1, 2 and 4 threads:
+  // BarrierPipelineTest.PremergedMatchesCoordinatorSealAndBatchAt1_2_4.)
   BatchRun batch = RunBatchRelay(1, 64, 1.5, 1 << 16);
   ASSERT_GT(batch.merged_entries, 1000u);
 
@@ -361,73 +365,6 @@ TEST(StreamingCollectionTest, StreamedRunMatchesBatchRunExactly) {
   }
 }
 
-TEST(StreamingCollectionTest, ChunkSealOrderingAtWindowBarriers) {
-  // Chunks must arrive sealed at window barriers in a well-formed order:
-  // per-node seqs are consecutive from 0, entry timestamps within a node
-  // never decrease across chunk boundaries (monotone logs), no chunk is
-  // empty, and every entry in a chunk was logged at or before the barrier
-  // that sealed it. (The run is 0.5 simulated seconds, far from a 32-bit
-  // wrap, so raw timestamps compare directly.)
-  ShardedSimulator::Config sim_cfg;
-  sim_cfg.shards = 4;
-  sim_cfg.threads = 2;
-  sim_cfg.lookahead = Microseconds(512);
-  ShardedSimulator sim(sim_cfg);
-  MediumFabric fabric(&sim);
-
-  struct BarrierRecordingSink : public TraceSink {
-    void OnChunk(TraceChunk&& chunk) override {
-      barrier_of_chunk.push_back(current_barrier);
-      chunks.push_back(std::move(chunk));
-    }
-    std::vector<TraceChunk> chunks;
-    std::vector<Tick> barrier_of_chunk;
-    Tick current_barrier = 0;
-  };
-  BarrierRecordingSink sink;
-
-  // Stamp the barrier time *before* ScaleNetwork registers its seal hook
-  // (hooks run in registration order), so the sink sees the barrier its
-  // chunks were sealed at.
-  sim.AddBarrierHook(
-      [&sink](Tick window_end) { sink.current_barrier = window_end; });
-
-  ScaleNetworkConfig cfg;
-  cfg.motes = 16;
-  cfg.log_capacity = 512;
-  cfg.batch_log_charging = true;
-  cfg.trace_sink = &sink;
-  ScaleNetwork net(&sim, &fabric, cfg);
-
-  net.PowerUp();
-  sim.RunFor(Milliseconds(5));
-  net.StartApps();
-  sim.RunFor(Seconds(0.5));
-  Tick final_now = sim.Now();
-  sink.current_barrier = final_now;
-  net.SealAllChunks();
-
-  ASSERT_GT(sink.chunks.size(), 10u);
-  std::map<node_id_t, uint64_t> next_seq;
-  std::map<node_id_t, uint32_t> last_time;
-  for (size_t i = 0; i < sink.chunks.size(); ++i) {
-    const TraceChunk& chunk = sink.chunks[i];
-    EXPECT_FALSE(chunk.entries.empty()) << "empty chunk " << i;
-    // Consecutive seq per node.
-    EXPECT_EQ(chunk.seq, next_seq[chunk.node]) << "chunk " << i;
-    next_seq[chunk.node] = chunk.seq + 1;
-    for (const LogEntry& e : chunk.entries) {
-      auto it = last_time.find(chunk.node);
-      if (it != last_time.end()) {
-        EXPECT_GE(uint32_t{e.time}, it->second) << "node " << chunk.node;
-      }
-      last_time[chunk.node] = e.time;
-      // Sealed entries were logged no later than their barrier.
-      EXPECT_LE(uint32_t{e.time}, sink.barrier_of_chunk[i]) << "chunk " << i;
-    }
-  }
-}
-
 TEST(StreamingCollectionTest, SpillFileRoundTripEqualsInRamMerge) {
   // Run once with batch collection to get the reference merged stream,
   // once streamed with a FileTraceSink forced into many small segments.
@@ -448,14 +385,13 @@ TEST(StreamingCollectionTest, SpillFileRoundTripEqualsInRamMerge) {
     ASSERT_TRUE(spill.ok());
     StreamingTraceMerger merger(
         [&spill](const MergedEntry& m) { spill.Append(m.entry); });
+    EmissionPipeline emission(&merger);
     ScaleNetworkConfig cfg;
     cfg.motes = 48;
     cfg.log_capacity = 512;
     cfg.batch_log_charging = true;
-    cfg.trace_sink = &merger;
+    cfg.emission_pipeline = &emission;
     ScaleNetwork net(&sim, &fabric, cfg);
-    sim.AddBarrierHook(
-        [&merger](Tick window_end) { merger.AdvanceWatermark(window_end); });
     net.PowerUp();
     sim.RunFor(Milliseconds(5));
     net.StartApps();

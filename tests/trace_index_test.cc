@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "src/analysis/emission_pipeline.h"
 #include "src/analysis/trace_index.h"
 #include "src/analysis/trace_io.h"
 #include "src/analysis/trace_merge.h"
@@ -1032,21 +1033,22 @@ std::vector<LogEntry> RunIndexedNetworkSpill(const std::string& path,
     spill.Append(m.entry);
     reference.push_back(m.entry);
   });
+  // Joins before the merger, the spill and the reference are destroyed.
+  EmissionPipeline emission(&merger);
   ScaleNetworkConfig cfg;
   cfg.motes = motes;
   cfg.log_capacity = 512;
   cfg.batch_log_charging = true;
   cfg.topology = topology;
   cfg.sinks = sinks;
-  cfg.segment_entries = segment_entries;
-  cfg.trace_sink = &merger;
+  cfg.emission_pipeline = &emission;
   ScaleNetwork net(&sim, &fabric, cfg);
-  sim.AddBarrierHook(
-      [&merger](Tick window_end) { merger.AdvanceWatermark(window_end); });
   net.PowerUp();
   sim.RunFor(Milliseconds(5));
   net.StartApps();
   sim.RunFor(static_cast<Tick>(seconds * kTicksPerSecond));
+  // Drains the pipeline; the merger, the spill and `reference` are safe
+  // to touch from this thread after it.
   net.SealAllChunks();
   merger.Finish();
   EXPECT_EQ(net.entries_dropped(), 0u);

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "src/analysis/accounting.h"
+#include "src/analysis/emission_pipeline.h"
 #include "src/analysis/streaming.h"
 #include "src/analysis/trace.h"
 #include "src/analysis/trace_io.h"
@@ -506,38 +507,33 @@ TEST(DirtyChargeFlushTest, HashEqualsFullSweepAcrossThreadCounts) {
 }
 
 TEST(DirtyChargeFlushTest, StreamedCollectionMatchesBatchOnBothPaths) {
-  // The streamed pre-merged pipeline's online hash must also be flush-
-  // path-invariant (the flush runs inside the same barrier either way).
-  auto run_streamed = [](bool legacy_sweep) {
-    ShardedSimulator::Config sim_cfg;
-    sim_cfg.shards = 8;
-    sim_cfg.threads = 2;
-    sim_cfg.lookahead = Microseconds(512);
-    ShardedSimulator sim(sim_cfg);
-    MediumFabric fabric(&sim);
-    StreamingTraceMerger merger;
-    ScaleNetworkConfig cfg;
-    cfg.motes = 128;
-    cfg.topology = ScaleTopology::kGrid;
-    cfg.sinks = 4;
-    cfg.batch_log_charging = true;
-    cfg.legacy_full_charge_sweep = legacy_sweep;
-    cfg.premerged_sink = &merger;
-    cfg.log_capacity = 1024;
-    ScaleNetwork net(&sim, &fabric, cfg);
-    net.PowerUp();
-    sim.RunFor(Milliseconds(5));
-    net.StartApps();
-    sim.RunFor(Seconds(1.0));
-    net.SealAllChunks();
-    merger.Finish();
-    return merger.hash();
-  };
-  uint64_t dirty_hash = run_streamed(false);
-  uint64_t sweep_hash = run_streamed(true);
-  EXPECT_EQ(dirty_hash, sweep_hash);
-  // And both equal the batch-collected hash of the same workload.
-  EXPECT_EQ(dirty_hash, RunFlushWorkload(2, false).hash);
+  // The streamed pipeline's online hash (its flush fused into the
+  // workers' seal pass) must equal the batch-collected hash of the same
+  // workload on both serial flush paths.
+  ShardedSimulator::Config sim_cfg;
+  sim_cfg.shards = 8;
+  sim_cfg.threads = 2;
+  sim_cfg.lookahead = Microseconds(512);
+  ShardedSimulator sim(sim_cfg);
+  MediumFabric fabric(&sim);
+  StreamingTraceMerger merger;
+  EmissionPipeline emission(&merger);
+  ScaleNetworkConfig cfg;
+  cfg.motes = 128;
+  cfg.topology = ScaleTopology::kGrid;
+  cfg.sinks = 4;
+  cfg.batch_log_charging = true;
+  cfg.emission_pipeline = &emission;
+  cfg.log_capacity = 1024;
+  ScaleNetwork net(&sim, &fabric, cfg);
+  net.PowerUp();
+  sim.RunFor(Milliseconds(5));
+  net.StartApps();
+  sim.RunFor(Seconds(1.0));
+  net.SealAllChunks();
+  merger.Finish();
+  EXPECT_EQ(merger.hash(), RunFlushWorkload(2, /*legacy_sweep=*/false).hash);
+  EXPECT_EQ(merger.hash(), RunFlushWorkload(2, /*legacy_sweep=*/true).hash);
 }
 
 }  // namespace

@@ -179,62 +179,6 @@ if [ -n "$HUGE_ROWS" ] && [ -x "$BUILD_DIR/bench_scale_multihop" ]; then
   done
 fi
 
-# Fabric drain A/B phase: a serial-drain baseline at the parallel-barrier
-# phase's default size, in its own process. The in-process big phase
-# already records the parallel-drain rows (1/2/4 threads, drain_us
-# profiled); this row supplies the retained serial path's percentiles and
-# hash so fabric_summary can show the drain leaving the coordinator's
-# serial section against a same-binary baseline. Override rows with
-# SCALE_FABRIC_ROWS="motes:threads ..."; empty disables.
-FABRIC_ROWS="${SCALE_FABRIC_ROWS-16384:1}"
-fabric_entries="$SCRATCH/fabric_rows.txt"
-: >"$fabric_entries"
-if [ -n "$FABRIC_ROWS" ] && [ -x "$BUILD_DIR/bench_scale_multihop" ]; then
-  for row in $FABRIC_ROWS; do
-    motes="${row%%:*}"
-    threads="${row##*:}"
-    row_json="$SCRATCH/fabric_${motes}_${threads}.json"
-    echo "== Fabric serial-drain row: $motes motes ($threads threads)"
-    "$BUILD_DIR/bench_scale_multihop" --motes "$motes" --topology grid \
-      --sinks 4 --seconds 2 --threads "$threads" --stream-traces \
-      --serial-drain \
-      --json "$row_json" >"$SCRATCH/fabric_${motes}_${threads}.out" 2>&1 || {
-      echo "   row failed; see $SCRATCH/fabric_${motes}_${threads}.out"
-      continue
-    }
-    printf '%s\t%s\t%s\n' "$motes" "$threads" "$row_json" >>"$fabric_entries"
-  done
-fi
-
-# Charge-flush residue A/B phase: a serial-hook flush baseline at the
-# parallel-barrier phase's default size, in its own process. The
-# in-process big phase records the fused rows (flush on the workers,
-# inside the pre-barrier seal pass); this row keeps the flush on the
-# coordinator's barrier hook, so residue_summary can show the flush
-# leaving the serial section against a same-binary baseline — equal merge
-# hashes and charge_flush_visits across the pair are the differential
-# proof at scale. Override rows with
-# SCALE_RESIDUE_ROWS="motes:threads ..."; empty disables.
-RESIDUE_ROWS="${SCALE_RESIDUE_ROWS-16384:1}"
-residue_entries="$SCRATCH/residue_rows.txt"
-: >"$residue_entries"
-if [ -n "$RESIDUE_ROWS" ] && [ -x "$BUILD_DIR/bench_scale_multihop" ]; then
-  for row in $RESIDUE_ROWS; do
-    motes="${row%%:*}"
-    threads="${row##*:}"
-    row_json="$SCRATCH/residue_${motes}_${threads}.json"
-    echo "== Serial-charge-flush row: $motes motes ($threads threads)"
-    "$BUILD_DIR/bench_scale_multihop" --motes "$motes" --topology grid \
-      --sinks 4 --seconds 2 --threads "$threads" --stream-traces \
-      --serial-charge-flush \
-      --json "$row_json" >"$SCRATCH/residue_${motes}_${threads}.out" 2>&1 || {
-      echo "   row failed; see $SCRATCH/residue_${motes}_${threads}.out"
-      continue
-    }
-    printf '%s\t%s\t%s\n' "$motes" "$threads" "$row_json" >>"$residue_entries"
-  done
-fi
-
 # Read-path phase: generate an indexed spill at the barrier phase's size
 # (16 384-mote grid, streamed collection, footers accumulated by the
 # emission consumer as the file is written), then measure the read side —
@@ -283,7 +227,7 @@ fi
 if [ -f "$SCRATCH/bench_scale_multihop.json" ]; then
   NPROC="$(nproc)" python3 - "$SCRATCH/bench_scale_multihop.json" \
     "$REPO_ROOT/BENCH_scale.json" "$mem_entries" "$huge_entries" \
-    "$fabric_entries" "$residue_entries" "$read_json" <<'EOF'
+    "$read_json" <<'EOF'
 import json
 import os
 import sys
@@ -291,21 +235,16 @@ import sys
 src, dst = sys.argv[1], sys.argv[2]
 mem_entries = sys.argv[3] if len(sys.argv) > 3 else None
 huge_entries = sys.argv[4] if len(sys.argv) > 4 else None
-fabric_entries = sys.argv[5] if len(sys.argv) > 5 else None
-residue_entries = sys.argv[6] if len(sys.argv) > 6 else None
-read_json = sys.argv[7] if len(sys.argv) > 7 else None
+read_json = sys.argv[5] if len(sys.argv) > 5 else None
 nproc = int(os.environ["NPROC"])
 with open(src) as f:
     data = json.load(f)
 data["nproc"] = nproc
 
-# Wide-node, fabric-baseline and residue-baseline separate-process rows
-# join the in-process sweep's runs; each row's JSON holds exactly one run
-# (its --motes invocation).
-for entries_file in (huge_entries, fabric_entries, residue_entries):
-    if not entries_file or not os.path.exists(entries_file):
-        continue
-    for line in open(entries_file):
+# Wide-node separate-process rows join the in-process sweep's runs; each
+# row's JSON holds exactly one run (its --motes invocation).
+if huge_entries and os.path.exists(huge_entries):
+    for line in open(huge_entries):
         motes, threads, row_json = line.rstrip("\n").split("\t")
         try:
             with open(row_json) as f:
@@ -404,13 +343,15 @@ if mem_rows:
                 buffered <= logged * 0.05,
         }
 
-# Parallel barrier pipeline summary: the per-window seal/merge/barrier
-# percentiles of the pre-merged streamed rows at the largest default
-# phase (16384 motes), one row per thread count — the machine-readable
-# record of what the window barrier costs and where it is spent.
+# Window barrier summary: for the streamed rows at the largest phase
+# (16384 motes by default), one row per thread count, the per-window
+# seal/merge/barrier percentiles and the off-barrier emission ledger —
+# per-window wall time, the consumer-side merge cost kept out of the
+# barrier, and the backpressure counters. The machine-readable record of
+# what the window barrier costs and where it is spent.
 barrier_rows = []
 for run in data.get("runs", []):
-    if not run.get("premerge") or "seal_us" not in run:
+    if not run.get("stream") or "seal_us" not in run:
         continue
     barrier_rows.append({
         "motes": run.get("motes"),
@@ -422,108 +363,15 @@ for run in data.get("runs", []):
         "seal_us": run.get("seal_us"),
         "merge_us": run.get("merge_us"),
         "barrier_us": run.get("barrier_us"),
+        "window_wall_us": run.get("window_wall_us"),
+        "consumer_stall_us": run.get("consumer_stall_us"),
+        "runs_queued_peak": run.get("runs_queued_peak"),
         "merge_hash": run.get("merge_hash"),
     })
 if barrier_rows:
     biggest = max(r["motes"] for r in barrier_rows)
     data["barrier_summary"] = [r for r in barrier_rows
                                if r["motes"] == biggest]
-
-# Off-barrier emission summary: for the async pre-merged rows at the
-# largest phase, the overlap ledger — per-window wall time, the
-# consumer-side merge cost that used to sit inside the barrier, the
-# residual serial barrier, and the backpressure counters. On a 1-core
-# recording host the win shows as merge_us leaving barrier_us (the
-# consumer's share lands in window_wall_us instead); on a multicore host
-# the same rows show it leaving the wall clock — ready for the ROADMAP
-# --threads sweep.
-emission_rows = []
-for run in data.get("runs", []):
-    if not run.get("premerge") or not run.get("async_emission"):
-        continue
-    if "merge_us" not in run:
-        continue
-    emission_rows.append({
-        "motes": run.get("motes"),
-        "threads": run.get("threads"),
-        "windows": run.get("barrier_windows"),
-        "window_wall_us": run.get("window_wall_us"),
-        "merge_us": run.get("merge_us"),
-        "barrier_us": run.get("barrier_us"),
-        "consumer_stall_us": run.get("consumer_stall_us"),
-        "runs_queued_peak": run.get("runs_queued_peak"),
-        "merge_hash": run.get("merge_hash"),
-    })
-if emission_rows:
-    biggest = max(r["motes"] for r in emission_rows)
-    data["emission_summary"] = [r for r in emission_rows
-                                if r["motes"] == biggest]
-
-# Fabric drain summary: the per-window drain cost of the profiled rows at
-# the barrier phase's size, parallel rows (drain on the workers,
-# drain_us = the slowest destination's lane merge; barrier_us = serial
-# residue, hook bookkeeping only) next to the serial baseline row (drain
-# inside the coordinator's serial section). Equal merge hashes across the
-# block are the differential proof at scale.
-fabric_rows = []
-for run in data.get("runs", []):
-    if "drain_us" not in run:
-        continue
-    fabric_rows.append({
-        "motes": run.get("motes"),
-        "threads": run.get("threads"),
-        "serial_drain": run.get("serial_drain"),
-        "windows": run.get("barrier_windows"),
-        "cross_posts": run.get("cross_posts"),
-        "scheduled_wakeups": run.get("scheduled_wakeups"),
-        "skipped_wakeups": run.get("skipped_wakeups"),
-        "lanes_skipped": run.get("lanes_skipped"),
-        "drain_us": run.get("drain_us"),
-        "drain_phase_wall_us": run.get("drain_phase_wall_us"),
-        "barrier_us": run.get("barrier_us"),
-        "merge_hash": run.get("merge_hash"),
-    })
-if fabric_rows:
-    # Keep the biggest-motes rows plus every size that has a serial
-    # baseline row, so the parallel-vs-serial per-path comparison
-    # survives even when the serial row runs at a smaller size than
-    # the huge-motes phase.
-    biggest = max(r["motes"] for r in fabric_rows)
-    serial_sizes = {r["motes"] for r in fabric_rows if r["serial_drain"]}
-    keep = serial_sizes | {biggest}
-    data["fabric_summary"] = [r for r in fabric_rows
-                              if r["motes"] in keep]
-
-# Charge-flush residue summary: fused rows (flush_us on the workers,
-# inside the pre-barrier seal) next to the serial-hook baseline row
-# (flush_us on the coordinator, inside barrier_us). Equal merge hashes
-# and charge_flush_visits across the block prove the fused pass visits
-# each dirty mote once per window with byte-identical output; the
-# barrier_us drop between serial and fused rows is the residue actually
-# cleared from the serial section.
-residue_rows = []
-for run in data.get("runs", []):
-    if not run.get("premerge") or "flush_us" not in run:
-        continue
-    residue_rows.append({
-        "motes": run.get("motes"),
-        "threads": run.get("threads"),
-        "serial_charge_flush": run.get("serial_charge_flush"),
-        "windows": run.get("barrier_windows"),
-        "charge_flush_visits": run.get("charge_flush_visits"),
-        "charge_flush_windows": run.get("charge_flush_windows"),
-        "flush_us": run.get("flush_us"),
-        "seal_us": run.get("seal_us"),
-        "barrier_us": run.get("barrier_us"),
-        "merge_hash": run.get("merge_hash"),
-    })
-if residue_rows:
-    biggest = max(r["motes"] for r in residue_rows)
-    serial_sizes = {r["motes"] for r in residue_rows
-                    if r["serial_charge_flush"]}
-    keep = serial_sizes | {biggest}
-    data["residue_summary"] = [r for r in residue_rows
-                               if r["motes"] in keep]
 
 # Read-path summary: bench_read_path's JSON verbatim — segment count,
 # full-decode wall per reader thread count (hash-checked against the
