@@ -1,7 +1,8 @@
 // bench_read_path: the read-side counterpart of bench_scale_multihop —
-// times full decodes of a spill file at several reader thread counts,
-// proves the decoded stream identical to the linear reference (hash), and
-// measures index-driven segment skipping for a time-range query and the
+// times opening a spill file (reading and validating its index), full
+// decodes at several reader thread counts, proves the decoded stream
+// identical to the linear reference (hash), and measures index-driven
+// segment skipping for a time-range query, an activity query and the
 // footer-only summary query.
 //
 // Usage:
@@ -14,13 +15,16 @@
 // (bench_scale_multihop --stream-traces --trace ...). Exit is nonzero
 // when any guard trips: hash divergence between thread counts or against
 // the linear reader, a time-range query covering <= 10% of the run that
-// decodes more than 25% of the segments, or peak RSS above --max-rss-mb —
-// so CI catches read-path regressions the same way it catches write-path
-// ones. run_benchmarks.sh stamps this bench's JSON into BENCH_scale.json
-// as the read_summary block.
+// decodes more than 25% of the segments, an activity query that decodes
+// any segment other than those whose index rows hold entries for its
+// labels (or returns other entries than the linear stream's), or peak RSS
+// above --max-rss-mb — so CI catches read-path regressions the same way
+// it catches write-path ones. run_benchmarks.sh stamps this bench's JSON
+// into BENCH_scale.json as the read_summary block.
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -61,6 +65,26 @@ struct FullRead {
   uint64_t hash = 0;
   uint64_t entries = 0;
 };
+
+// Where the activity query's two labels sit in the middle segment's
+// sorted label list.
+constexpr double kActivityFractions[] = {0.25, 0.75};
+
+// The activity query's outcome and what its labels' index rows predict.
+struct ActivityQueryCheck {
+  ReadStats stats;
+  uint64_t segments_expected = 0;
+  uint64_t entries_expected = 0;
+  double wall_s = 0.0;
+};
+
+std::string JoinLabels(const std::vector<act_t>& labels) {
+  std::string out;
+  for (act_t label : labels) {
+    out += (out.empty() ? "" : ", ") + std::to_string(label);
+  }
+  return out;
+}
 
 constexpr char kUsage[] =
     "usage: bench_read_path --trace FILE [--threads 1,2,4]"
@@ -115,7 +139,9 @@ int Run(int argc, char** argv) {
     repeat = 1;
   }
 
+  double open_start = Now();
   TraceFileReader reader(trace_path);
+  double open_s = Now() - open_start;
   if (!reader.ok()) {
     std::cerr << "cannot open " << trace_path << "\n";
     return 1;
@@ -126,7 +152,7 @@ int Run(int argc, char** argv) {
                     ? std::to_string(reader.index().segments.size()) +
                           " segments"
                     : "absent (" + reader.index_note() + ")")
-            << "\n";
+            << ", opened in " << open_s << " s\n";
 
   // Linear reference: the whole-blob slurp every reader before this PR
   // used. Its entry stream is the byte-identity anchor, and its first and
@@ -158,6 +184,7 @@ int Run(int argc, char** argv) {
             << linear_wall << " s (hash " << HashHex(reference_hash) << ")\n";
 
   bool failed = false;
+  bool hashes_equal = true;
 
   // Full parallel decodes.
   std::vector<FullRead> full_reads;
@@ -187,6 +214,7 @@ int Run(int argc, char** argv) {
       std::cerr << "  FAIL: " << threads
                 << "-thread decode diverges from the linear reader\n";
       failed = true;
+      hashes_equal = false;
     }
     full_reads.push_back(row);
   }
@@ -226,6 +254,79 @@ int Run(int argc, char** argv) {
     failed = true;
   }
 
+  // Activity query: two labels from the middle segment's rows, picked the
+  // way perfbench picks them (a fraction into the segment's label list).
+  // The segments it may decode are exactly those whose rows hold entries
+  // for either label, found here by walking every row rather than by the
+  // lookup the reader prunes with.
+  TraceQuery activity_query;
+  ActivityQueryCheck activity;
+  if (reader.has_index() && !reader.index().segments.empty()) {
+    const std::vector<SegmentFooter>& segs = reader.index().segments;
+    std::vector<act_t> labels;
+    for (const auto& row : segs[segs.size() / 2].activities) {
+      labels.push_back(row.first);
+    }
+    for (double frac : kActivityFractions) {
+      size_t i = static_cast<size_t>(frac * labels.size());
+      if (i < labels.size()) {
+        activity_query.activities.push_back(labels[i]);
+      }
+    }
+  }
+  if (!activity_query.activities.empty()) {
+    const std::vector<act_t>& wanted = activity_query.activities;
+    for (const SegmentFooter& seg : reader.index().segments) {
+      bool holds = false;
+      for (const auto& [act, row] : seg.activities) {
+        holds |= row.entries > 0 &&
+                 std::find(wanted.begin(), wanted.end(), act) != wanted.end();
+      }
+      if (holds) {
+        ++activity.segments_expected;
+        activity.entries_expected += seg.entries;
+      }
+    }
+    std::vector<LogEntry> want;
+    for (const LogEntry& e : *reference) {
+      act_t act = e.payload;
+      if (IsActivityEntry(e) &&
+          std::find(wanted.begin(), wanted.end(), act) != wanted.end()) {
+        want.push_back(e);
+      }
+    }
+    double activity_start = Now();
+    auto hits = reader.ReadFiltered(activity_query, thread_sweep.back(),
+                                    &activity.stats);
+    activity.wall_s = Now() - activity_start;
+    if (!hits.has_value()) {
+      std::cerr << "activity query failed\n";
+      return 1;
+    }
+    std::cout << "  activity (" << wanted.size() << " labels): "
+              << activity.stats.segments_read << "/"
+              << activity.stats.segments_total << " segments read ("
+              << activity.segments_expected << " hold the labels), "
+              << hits->size() << " entries in " << activity.wall_s << " s\n";
+    if (activity.stats.segments_read != activity.segments_expected ||
+        activity.stats.entries_decoded != activity.entries_expected) {
+      std::cerr << "  FAIL: activity query decoded "
+                << activity.stats.segments_read << " segments ("
+                << activity.stats.entries_decoded << " entries), but "
+                << activity.segments_expected << " segments ("
+                << activity.entries_expected
+                << " entries) hold entries for its labels\n";
+      failed = true;
+    }
+    if (hits->size() != want.size() ||
+        EntryStreamHash(*hits) != EntryStreamHash(want)) {
+      std::cerr << "  FAIL: activity query returned " << hits->size()
+                << " entries, the linear stream holds " << want.size()
+                << "\n";
+      failed = true;
+    }
+  }
+
   // Footer-only summary query.
   double summary_start = Now();
   ReadStats summary_stats;
@@ -261,10 +362,11 @@ int Run(int argc, char** argv) {
        << ",\n"
        << "  \"segments\": "
        << (reader.has_index() ? reader.index().segments.size() : 0) << ",\n"
+       << "  \"open_s\": " << open_s << ",\n"
        << "  \"entries\": " << reference->size() << ",\n"
        << "  \"linear_wall_s\": " << linear_wall << ",\n"
        << "  \"hash\": \"" << HashHex(reference_hash) << "\",\n"
-       << "  \"hash_equal\": " << (failed ? "false" : "true") << ",\n"
+       << "  \"hash_equal\": " << (hashes_equal ? "true" : "false") << ",\n"
        << "  \"full_reads\": [";
   for (size_t i = 0; i < full_reads.size(); ++i) {
     const FullRead& row = full_reads[i];
@@ -281,6 +383,14 @@ int Run(int argc, char** argv) {
        << ", \"segments_skipped\": " << range_stats.segments_skipped
        << ", \"entries_selected\": " << range_stats.entries_selected
        << ", \"wall_s\": " << range_wall << "},\n"
+       << "  \"activity_query\": {\"labels\": ["
+       << JoinLabels(activity_query.activities) << "]"
+       << ", \"segments_total\": " << activity.stats.segments_total
+       << ", \"segments_read\": " << activity.stats.segments_read
+       << ", \"segments_expected\": " << activity.segments_expected
+       << ", \"entries_decoded\": " << activity.stats.entries_decoded
+       << ", \"entries_selected\": " << activity.stats.entries_selected
+       << ", \"wall_s\": " << activity.wall_s << "},\n"
        << "  \"summary_query\": {\"segments_read\": "
        << summary_stats.segments_read << ", \"activities\": " << totals->size()
        << ", \"wall_s\": " << summary_wall << "},\n"

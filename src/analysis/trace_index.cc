@@ -4,11 +4,37 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <memory>
 
 #include "src/analysis/trace_io.h"  // Container geometry for validation.
 #include "src/hw/sinks.h"
 
 namespace quanto {
+
+struct ActivityRowStore {
+  std::vector<uint8_t> bytes;  // Every segment's rows, in segment order.
+  // Per restart (row k * kRestartInterval of a segment): the row's label
+  // and its first byte's offset from the segment's first row.
+  std::vector<act_t> restart_labels;
+  std::vector<uint32_t> restart_offsets;
+
+  // Records row `index` of the segment being added as a restart when it
+  // falls on one. `offset` is relative to the segment's first row.
+  void NoteRow(uint32_t index, act_t label, uint64_t offset) {
+    if (index % ActivityRows::kRestartInterval == 0) {
+      restart_labels.push_back(label);
+      restart_offsets.push_back(static_cast<uint32_t>(offset));
+    }
+  }
+
+  // The view of the `count` rows appended since `begin`, whose restarts
+  // start at entry `restart`.
+  static ActivityRows View(const std::shared_ptr<ActivityRowStore>& store,
+                           uint64_t begin, uint32_t count, uint64_t restart) {
+    uint32_t bytes = static_cast<uint32_t>(store->bytes.size() - begin);
+    return ActivityRows(store, begin, bytes, count, restart);
+  }
+};
 
 namespace {
 
@@ -93,14 +119,33 @@ void PutRow(std::vector<uint8_t>& out, act_t previous, const ActivityRow& row) {
   }
 }
 
-// Decodes exactly `count` rows filling [p, end) exactly, with strictly
-// ascending labels. The caller has bounded `count` by the bytes available
-// (a row takes at least two), so the reservation is bounded too.
-bool GetRows(const uint8_t* p, const uint8_t* end, uint32_t count,
-             std::vector<ActivityRow>* rows) {
-  rows->reserve(count);
+// Decodes one varint that validation has already accepted.
+uint64_t ReadVarint(const uint8_t** p) {
+  const uint8_t* q = *p;
+  uint64_t value = *q & 0x7F;
+  for (int shift = 7; (*q++ & 0x80) != 0; shift += 7) {
+    value |= static_cast<uint64_t>(*q & 0x7F) << shift;
+  }
+  *p = q;
+  return value;
+}
+
+// The counts of an accepted row: entries * 2 + (pulses != 0), then the
+// pulses when flagged.
+ActivitySummary ReadCounts(const uint8_t** p) {
+  uint64_t field = ReadVarint(p);
+  uint64_t pulses = (field & 1) != 0 ? ReadVarint(p) : 0;
+  return ActivitySummary{static_cast<uint32_t>(field >> 1), pulses};
+}
+
+// Checks that [p, end) holds exactly `count` rows with strictly ascending
+// labels, and hands each to `visit(index, first_byte, row)`.
+template <typename Visit>
+bool ForEachRow(const uint8_t* p, const uint8_t* end, uint32_t count,
+                Visit&& visit) {
   act_t label = 0;
   for (uint32_t i = 0; i < count; ++i) {
+    const uint8_t* start = p;
     uint64_t delta = 0;
     uint64_t field = 0;
     uint64_t pulses = 0;
@@ -114,10 +159,23 @@ bool GetRows(const uint8_t* p, const uint8_t* end, uint32_t count,
       return false;
     }
     label += delta;
-    rows->emplace_back(
-        label, ActivitySummary{static_cast<uint32_t>(field >> 1), pulses});
+    visit(i, start,
+          ActivityRow(label, ActivitySummary{static_cast<uint32_t>(field >> 1),
+                                             pulses}));
   }
   return p == end;
+}
+
+// Decodes exactly `count` rows filling [p, end) exactly. The caller has
+// bounded `count` by the bytes available (a row takes at least two), so
+// the reservation is bounded too.
+bool GetRows(const uint8_t* p, const uint8_t* end, uint32_t count,
+             std::vector<ActivityRow>* rows) {
+  rows->reserve(count);
+  return ForEachRow(p, end, count,
+                    [rows](uint32_t, const uint8_t*, const ActivityRow& row) {
+                      rows->push_back(row);
+                    });
 }
 
 // Label-weighted sums of entries and pulses, in the same wrapping
@@ -165,9 +223,12 @@ SegmentFooter GetFixedRecord(const uint8_t* p, uint16_t* act_rows) {
   return seg;
 }
 
-// Version 1: each fixed record is followed by its 20-byte rows.
+// Version 1: each fixed record is followed by its 20-byte rows, which are
+// re-encoded into the shared row buffer.
 bool ParseFixedRowSegments(const uint8_t* data, size_t records_end,
-                           uint32_t segment_count, TraceIndex* index) {
+                           uint32_t segment_count,
+                           const std::shared_ptr<ActivityRowStore>& store,
+                           TraceIndex* index) {
   size_t at = kIndexHeaderBytes;
   if (segment_count > (records_end - at) / kSegmentRecordBytes) {
     return false;
@@ -183,19 +244,24 @@ bool ParseFixedRowSegments(const uint8_t* data, size_t records_end,
     if (act_rows > (records_end - at) / kActivityRowBytesV1) {
       return false;
     }
-    seg.activities.reserve(act_rows);
+    uint64_t begin = store->bytes.size();
+    uint64_t restart = store->restart_labels.size();
+    act_t previous = 0;
     for (uint16_t r = 0; r < act_rows; ++r) {
       const uint8_t* q = data + at;
-      act_t act = GetU64(q);
+      ActivityRow row(GetU64(q),
+                      ActivitySummary{GetU32(q + 8), GetU64(q + 12)});
       // Rows are written in ascending label order; enforce it so the
       // footer-vs-scan comparisons can rely on it.
-      if (r > 0 && act <= seg.activities.back().first) {
+      if (r > 0 && row.first <= previous) {
         return false;
       }
-      seg.activities.emplace_back(
-          act, ActivitySummary{GetU32(q + 8), GetU64(q + 12)});
+      store->NoteRow(r, row.first, store->bytes.size() - begin);
+      PutRow(store->bytes, previous, row);
+      previous = row.first;
       at += kActivityRowBytesV1;
     }
+    seg.activities = ActivityRowStore::View(store, begin, act_rows, restart);
     index->row_bytes += uint64_t{act_rows} * kActivityRowBytesV1;
     index->segments.push_back(std::move(seg));
   }
@@ -203,9 +269,12 @@ bool ParseFixedRowSegments(const uint8_t* data, size_t records_end,
 }
 
 // Version 2: every record, then every segment's varint rows, then the
-// totals table.
+// totals table. The rows are validated in place and copied into the
+// shared buffer as they are.
 bool ParseVarintRowSegments(const uint8_t* data, size_t records_end,
-                            uint32_t segment_count, TraceIndex* index) {
+                            uint32_t segment_count,
+                            const std::shared_ptr<ActivityRowStore>& store,
+                            TraceIndex* index) {
   if (GetU16(data + 6) != 0 ||
       segment_count > (records_end - kIndexHeaderBytes) /
                           kSegmentRecordBytesV2) {
@@ -214,6 +283,14 @@ bool ParseVarintRowSegments(const uint8_t* data, size_t records_end,
   const uint8_t* record = data + kIndexHeaderBytes;
   const uint8_t* rows = record + size_t{segment_count} * kSegmentRecordBytesV2;
   const uint8_t* end = data + records_end;
+  // The records' row byte counts, capped by the bytes the block holds.
+  uint64_t row_total = 0;
+  for (uint32_t i = 0; i < segment_count; ++i) {
+    row_total += GetU32(record + size_t{i} * kSegmentRecordBytesV2 +
+                        kSegmentRecordBytes + 4);
+  }
+  store->bytes.reserve(static_cast<size_t>(
+      std::min<uint64_t>(row_total, static_cast<uint64_t>(end - rows))));
   RowChecksum from_rows;
   index->segments.reserve(segment_count);
   for (uint32_t i = 0; i < segment_count; ++i) {
@@ -222,14 +299,19 @@ bool ParseVarintRowSegments(const uint8_t* data, size_t records_end,
     uint32_t row_count = GetU32(record + kSegmentRecordBytes);
     uint32_t row_bytes = GetU32(record + kSegmentRecordBytes + 4);
     record += kSegmentRecordBytesV2;
+    uint64_t begin = store->bytes.size();
+    uint64_t restart = store->restart_labels.size();
+    auto visit = [&](uint32_t r, const uint8_t* at, const ActivityRow& row) {
+      from_rows.Add(row);
+      store->NoteRow(r, row.first, static_cast<uint64_t>(at - rows));
+    };
     if (reserved != 0 || row_bytes > static_cast<size_t>(end - rows) ||
         row_count > row_bytes / 2 ||
-        !GetRows(rows, rows + row_bytes, row_count, &seg.activities)) {
+        !ForEachRow(rows, rows + row_bytes, row_count, visit)) {
       return false;
     }
-    for (const ActivityRow& row : seg.activities) {
-      from_rows.Add(row);
-    }
+    store->bytes.insert(store->bytes.end(), rows, rows + row_bytes);
+    seg.activities = ActivityRowStore::View(store, begin, row_count, restart);
     rows += row_bytes;
     index->row_bytes += row_bytes;
     index->segments.push_back(std::move(seg));
@@ -254,6 +336,73 @@ bool ParseVarintRowSegments(const uint8_t* data, size_t records_end,
 constexpr size_t kWriteChunkBytes = 64 * 1024;
 
 }  // namespace
+
+ActivityRows::Iterator::Iterator(const uint8_t* at, const uint8_t* end)
+    : at_(at), end_(end) {
+  if (at_ != end_) {
+    Decode();
+  }
+}
+
+void ActivityRows::Iterator::Decode() {
+  const uint8_t* p = at_;
+  row_.first += ReadVarint(&p);
+  row_.second = ReadCounts(&p);
+  next_ = p;
+}
+
+ActivityRows::Iterator& ActivityRows::Iterator::operator++() {
+  at_ = next_;
+  if (at_ != end_) {
+    Decode();
+  }
+  return *this;
+}
+
+const uint8_t* ActivityRows::data() const {
+  return store_ == nullptr ? nullptr : store_->bytes.data() + begin_;
+}
+
+ActivityRows::Iterator ActivityRows::begin() const {
+  return Iterator(data(), data() + bytes_);
+}
+
+ActivityRows::Iterator ActivityRows::end() const {
+  return Iterator(data() + bytes_, data() + bytes_);
+}
+
+std::optional<ActivitySummary> ActivityRows::Find(act_t label) const {
+  if (count_ == 0) {
+    return std::nullopt;
+  }
+  size_t restarts = (count_ - 1) / kRestartInterval + 1;
+  const act_t* labels = store_->restart_labels.data() + restart_;
+  // The last restart at or below `label`: the only run that can hold it.
+  size_t k = static_cast<size_t>(
+      std::upper_bound(labels, labels + restarts, label) - labels);
+  if (k == 0) {
+    return std::nullopt;
+  }
+  --k;
+  const uint8_t* p = data() + store_->restart_offsets[restart_ + k];
+  size_t run = std::min<size_t>(kRestartInterval,
+                                count_ - k * size_t{kRestartInterval});
+  act_t current = labels[k];
+  ReadVarint(&p);  // The restart row's delta; the table holds its label.
+  for (size_t i = 1;; ++i) {
+    ActivitySummary counts = ReadCounts(&p);
+    if (current == label) {
+      return counts;
+    }
+    if (i == run) {
+      return std::nullopt;
+    }
+    current += ReadVarint(&p);
+    if (current > label) {
+      return std::nullopt;
+    }
+  }
+}
 
 bool SegmentFooter::MayContainOrigin(node_id_t origin) const {
   if (!(origin_filter & (uint64_t{1} << (origin % 64)))) {
@@ -325,15 +474,22 @@ std::optional<TraceIndex> ParseTraceIndex(const uint8_t* data, size_t size,
   index.version = GetU16(data + 4);
   index.total_entries = GetU64(data + 12);
   uint32_t segment_count = GetU32(data + 8);
+  auto rows = std::make_shared<ActivityRowStore>();
   bool parsed = false;
   if (index.version == kIndexVersion) {
-    parsed = ParseVarintRowSegments(data, records_end, segment_count, &index);
+    parsed = ParseVarintRowSegments(data, records_end, segment_count, rows,
+                                    &index);
   } else if (index.version == kIndexVersionFixedRows) {
-    parsed = ParseFixedRowSegments(data, records_end, segment_count, &index);
+    parsed = ParseFixedRowSegments(data, records_end, segment_count, rows,
+                                   &index);
   }
   if (!parsed) {
     return std::nullopt;
   }
+  // The views hold offsets, not pointers, so the storage may still move.
+  rows->bytes.shrink_to_fit();  // Exact already on version 2.
+  rows->restart_labels.shrink_to_fit();
+  rows->restart_offsets.shrink_to_fit();
   // Structural validity: segments tile [0, data_bytes) contiguously and
   // each length matches its own header-derived size exactly.
   uint64_t next_offset = 0;

@@ -43,7 +43,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <map>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -80,8 +82,85 @@ struct ActivitySummary {
 
 using ActivityRow = std::pair<act_t, ActivitySummary>;
 
-// One segment's footer. `activities` is sorted by label, as the block
-// stores it.
+// The buffer and restart table that the ActivityRows views of one parsed
+// index share (defined in trace_index.cc).
+struct ActivityRowStore;
+
+// One segment's activity rows, sorted by label, as a parsed index keeps
+// them: still in the version 2 row codec (docs/TRACE_FORMAT.md "The row
+// codec"), in one buffer that every segment of the index shares. Beside
+// the bytes sits a restart table with the label and byte offset of every
+// kRestartInterval-th row, so Find decodes at most that many rows. The
+// view is read-only and shares ownership of the buffer: a copied view,
+// footer or index stays valid after the original (and its reader) is gone.
+// A default-constructed view is empty.
+class ActivityRows {
+ public:
+  static constexpr uint32_t kRestartInterval = 64;
+
+  // Decodes the rows in label order, one ActivityRow by value at a time.
+  class Iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = ActivityRow;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const ActivityRow*;
+    using reference = ActivityRow;
+
+    Iterator() = default;
+    ActivityRow operator*() const { return row_; }
+    const ActivityRow* operator->() const { return &row_; }
+    Iterator& operator++();
+    Iterator operator++(int) {
+      Iterator before = *this;
+      ++*this;
+      return before;
+    }
+    bool operator==(const Iterator& o) const { return at_ == o.at_; }
+    bool operator!=(const Iterator& o) const { return at_ != o.at_; }
+
+   private:
+    friend class ActivityRows;
+    Iterator(const uint8_t* at, const uint8_t* end);
+    void Decode();
+
+    const uint8_t* at_ = nullptr;    // The current row's first byte.
+    const uint8_t* next_ = nullptr;  // The byte after it.
+    const uint8_t* end_ = nullptr;
+    ActivityRow row_{};
+  };
+
+  ActivityRows() = default;
+
+  size_t size() const { return count_; }
+  bool empty() const { return count_ == 0; }
+  Iterator begin() const;
+  Iterator end() const;
+  // The row for `label`, or nullopt when the segment has none: a binary
+  // search of the segment's restart labels, then at most
+  // kRestartInterval - 1 rows decoded past the restart.
+  std::optional<ActivitySummary> Find(act_t label) const;
+
+ private:
+  friend struct ActivityRowStore;
+
+  ActivityRows(std::shared_ptr<const ActivityRowStore> store, uint64_t begin,
+               uint32_t bytes, uint32_t count, uint64_t restart)
+      : store_(std::move(store)),
+        begin_(begin),
+        restart_(restart),
+        bytes_(bytes),
+        count_(count) {}
+  const uint8_t* data() const;
+
+  std::shared_ptr<const ActivityRowStore> store_;
+  uint64_t begin_ = 0;    // Offset of the first row in the shared bytes.
+  uint64_t restart_ = 0;  // Index of the first row's restart entry.
+  uint32_t bytes_ = 0;
+  uint32_t count_ = 0;
+};
+
+// One segment's footer.
 struct SegmentFooter {
   uint64_t offset = 0;  // Byte offset of the segment container in the file.
   uint64_t length = 0;  // Byte length of the segment container.
@@ -95,7 +174,7 @@ struct SegmentFooter {
   node_id_t origin_min = kBroadcastAddr;
   node_id_t origin_max = 0;
   uint64_t origin_filter = 0;  // Bit (origin % 64) per origin present.
-  std::vector<ActivityRow> activities;
+  ActivityRows activities;
 
   // True when the footer cannot rule the origin out of the segment.
   bool MayContainOrigin(node_id_t origin) const;
@@ -109,7 +188,8 @@ struct TraceIndex {
   uint16_t version = kIndexVersion;
   uint64_t total_entries = 0;
   std::vector<SegmentFooter> segments;
-  // Bytes the block spends on segment activity rows.
+  // Bytes the block spends on segment activity rows (version 1's fixed
+  // rows counted as stored, although they are kept re-encoded).
   uint64_t row_bytes = 0;
   // Version 2's file-level table: one row per label, ascending, with the
   // label's entries and pulses summed over every segment. Empty on
@@ -129,6 +209,8 @@ struct TraceIndex {
 // (checked before anything is allocated for it), and every total to be
 // self-consistent. Returns nullopt on any violation — callers treat that
 // as "no index" and fall back to a linear scan, never as a broken file.
+// The segments' rows stay encoded (ActivityRows); version 1's fixed rows
+// are re-encoded into the version 2 codec, so both versions read alike.
 std::optional<TraceIndex> ParseTraceIndex(const uint8_t* data, size_t size,
                                           uint64_t data_bytes);
 

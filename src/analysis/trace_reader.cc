@@ -15,18 +15,24 @@ namespace quanto {
 
 namespace {
 
+// One worker's reusable buffers: a segment's bytes as read, and its
+// decoded entries where a job filters them before keeping any.
+struct SegmentScratch {
+  std::vector<uint8_t> bytes;
+  std::vector<LogEntry> entries;
+};
+
 // Runs `fn(job, scratch)` for jobs [0, jobs) across `threads` workers,
-// each with its own reusable byte buffer. Jobs are claimed from a shared
+// each with its own SegmentScratch. Jobs are claimed from a shared
 // counter — which segment a worker decodes is scheduling-dependent, but
 // every job writes only its own precomputed output slot, so the assembled
 // result is not. Stops early (and returns false) once any job fails.
-bool RunSegmentJobs(
-    size_t threads, size_t jobs,
-    const std::function<bool(size_t, std::vector<uint8_t>*)>& fn) {
+bool RunSegmentJobs(size_t threads, size_t jobs,
+                    const std::function<bool(size_t, SegmentScratch*)>& fn) {
   std::atomic<size_t> next{0};
   std::atomic<bool> failed{false};
   auto worker = [&]() {
-    std::vector<uint8_t> scratch;
+    SegmentScratch scratch;
     for (;;) {
       size_t job = next.fetch_add(1, std::memory_order_relaxed);
       if (job >= jobs || failed.load(std::memory_order_relaxed)) {
@@ -122,15 +128,10 @@ bool SegmentMayMatch(const TraceQuery& q,
   if (!activities.empty()) {
     bool any = false;
     for (act_t act : activities) {
-      auto it = std::lower_bound(
-          seg.activities.begin(), seg.activities.end(), act,
-          [](const std::pair<act_t, ActivitySummary>& row, act_t value) {
-            return row.first < value;
-          });
       // Only rows with stored entries prove the label appears in the
       // segment (a row can exist purely for attributed pulses).
-      if (it != seg.activities.end() && it->first == act &&
-          it->second.entries > 0) {
+      std::optional<ActivitySummary> row = seg.activities.Find(act);
+      if (row.has_value() && row->entries > 0) {
         any = true;
         break;
       }
@@ -297,8 +298,8 @@ std::optional<std::vector<LogEntry>> TraceFileReader::ReadAll(
   std::vector<LogEntry> out(prefix.back());
   bool decoded = RunSegmentJobs(
       ClampThreads(threads, segs.size()), segs.size(),
-      [&](size_t i, std::vector<uint8_t>* scratch) {
-        return DecodeSegment(segs[i], scratch, out.data() + prefix[i]);
+      [&](size_t i, SegmentScratch* scratch) {
+        return DecodeSegment(segs[i], &scratch->bytes, out.data() + prefix[i]);
       });
   if (!decoded) {
     return std::nullopt;
@@ -360,10 +361,11 @@ std::optional<std::vector<LogEntry>> TraceFileReader::ReadFiltered(
   std::vector<std::vector<LogEntry>> slots(candidates.size());
   bool decoded = RunSegmentJobs(
       ClampThreads(threads, candidates.size()), candidates.size(),
-      [&](size_t j, std::vector<uint8_t>* scratch) {
+      [&](size_t j, SegmentScratch* scratch) {
         const SegmentFooter& footer = segs[candidates[j]];
-        std::vector<LogEntry> entries(footer.entries);
-        if (!DecodeSegment(footer, scratch, entries.data())) {
+        std::vector<LogEntry>& entries = scratch->entries;
+        entries.resize(footer.entries);
+        if (!DecodeSegment(footer, &scratch->bytes, entries.data())) {
           return false;
         }
         StreamIngestState chain = SeedFromFooter(footer);
@@ -379,7 +381,12 @@ std::optional<std::vector<LogEntry>> TraceFileReader::ReadFiltered(
   if (!decoded) {
     return std::nullopt;
   }
+  size_t kept_total = 0;
+  for (const std::vector<LogEntry>& kept : slots) {
+    kept_total += kept.size();
+  }
   std::vector<LogEntry> selected;
+  selected.reserve(kept_total);
   for (const std::vector<LogEntry>& kept : slots) {
     selected.insert(selected.end(), kept.begin(), kept.end());
   }

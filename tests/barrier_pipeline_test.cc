@@ -28,6 +28,7 @@
 #include "src/core/logger.h"
 #include "src/net/medium.h"
 #include "src/sim/sharded_sim.h"
+#include "tests/test_files.h"
 
 namespace quanto {
 namespace {
@@ -445,7 +446,7 @@ TEST(BarrierPipelineTest, SpillBytesIdenticalToBatchWriter) {
   // the coordinator-side seal — produce the exact file the batch path's
   // WriteTraceFile produces, which is what makes quanto_report output
   // byte-identical across collection modes.
-  std::string batch_path = ::testing::TempDir() + "/barrier_batch.qnto";
+  std::string batch_path = TempPath("barrier_batch");
   {
     ShardedSimulator::Config sim_cfg;
     sim_cfg.shards = 8;
@@ -466,10 +467,10 @@ TEST(BarrierPipelineTest, SpillBytesIdenticalToBatchWriter) {
         batch_path, MergedEntryStream(MergeTraces(CollectNodeTraces(net)))));
   }
 
-  std::string premerge_path = ::testing::TempDir() + "/barrier_premerge.qnto";
+  std::string premerge_path = TempPath("barrier_premerge");
   PipelineRun premerged =
       RunRelay(SealMode::kPremerged, 4, 48, 1.0, 512, nullptr, premerge_path);
-  std::string coord_path = ::testing::TempDir() + "/barrier_coord.qnto";
+  std::string coord_path = TempPath("barrier_coord");
   PipelineRun coordinator =
       RunRelay(SealMode::kCoordinator, 1, 48, 1.0, 512, nullptr, coord_path);
   EXPECT_EQ(premerged.dropped, 0u);

@@ -32,6 +32,7 @@
 #include "src/apps/scale_network.h"
 #include "src/net/medium.h"
 #include "src/sim/sharded_sim.h"
+#include "tests/test_files.h"
 
 namespace quanto {
 namespace {
@@ -357,8 +358,8 @@ TEST(EmissionPipelineTest, SpillBytesIdenticalAcrossAsyncAndBatchWriter) {
   // FileTraceSink (single segment) produces the exact file the batch
   // path's WriteTraceFile produces — which is what makes quanto_report
   // output byte-identical across the two collection modes.
-  std::string batch_path = ::testing::TempDir() + "/emission_batch.qnto";
-  std::string async_path = ::testing::TempDir() + "/emission_async.qnto";
+  std::string batch_path = TempPath("emission_batch");
+  std::string async_path = TempPath("emission_async");
   PipelineRun batch =
       RunRelay(EmitMode::kBatch, 2, 48, 1.0, 0, nullptr, batch_path);
   PipelineRun async_run = RunRelay(EmitMode::kAsync, 2, 48, 1.0,

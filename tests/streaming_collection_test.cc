@@ -24,6 +24,7 @@
 #include "src/core/logger.h"
 #include "src/net/medium.h"
 #include "src/sim/sharded_sim.h"
+#include "tests/test_files.h"
 
 namespace quanto {
 namespace {
@@ -373,7 +374,7 @@ TEST(StreamingCollectionTest, SpillFileRoundTripEqualsInRamMerge) {
   std::vector<LogEntry> reference = MergedEntryStream(batch.merged);
   ASSERT_GT(reference.size(), 500u);
 
-  std::string path = ::testing::TempDir() + "/spill_roundtrip.qnto";
+  std::string path = TempPath("spill_roundtrip");
   {
     ShardedSimulator::Config sim_cfg;
     sim_cfg.shards = 8;

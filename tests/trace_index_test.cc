@@ -5,13 +5,14 @@
 // on synthetic streams and on real grid/chain network spills.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "src/hw/sinks.h"
 #include "src/net/medium.h"
 #include "src/sim/sharded_sim.h"
+#include "tests/test_files.h"
 
 namespace quanto {
 namespace {
@@ -86,19 +88,6 @@ void WriteSpill(const std::string& path, const std::vector<LogEntry>& entries,
   ASSERT_TRUE(sink.Close());
 }
 
-// A temporary file of this process: ctest runs a test and the sanitizer
-// aggregate that includes it concurrently, so fixed names would collide.
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name + "." +
-         std::to_string(::getpid()) + ".qnto";
-}
-
-std::vector<uint8_t> Slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::vector<uint8_t>((std::istreambuf_iterator<char>(in)),
-                              std::istreambuf_iterator<char>());
-}
-
 // The entry-level query semantics, written independently of the reader:
 // filtering the full linear stream this way must equal ReadFiltered.
 std::vector<LogEntry> FilterFullScan(const std::vector<LogEntry>& all,
@@ -153,6 +142,12 @@ void ExpectSameTotals(const std::map<act_t, ActivitySummary>& got,
 }
 
 // --- Builder + serialized block -------------------------------------------
+
+// A segment's rows, decoded out of the index's encoded form.
+std::vector<ActivityRow> Rows(const SegmentFooter& seg) {
+  return std::vector<ActivityRow>(seg.activities.begin(),
+                                  seg.activities.end());
+}
 
 // The block a builder writes, in one buffer.
 std::vector<uint8_t> BlockBytes(const TraceIndexBuilder& builder) {
@@ -244,12 +239,14 @@ TEST(TraceIndexTest, BuilderFootersDescribeSegments) {
   EXPECT_EQ(s0.origin_max, 7u);
   EXPECT_EQ(s0.origin_filter, (uint64_t{1} << 5) | (uint64_t{1} << 7));
   ASSERT_EQ(s0.activities.size(), 2u);
-  EXPECT_EQ(s0.activities[0].first, MakeActivity(5, 2));
-  EXPECT_EQ(s0.activities[0].second.entries, 1u);
+  auto rows0 = Rows(s0);
+  ASSERT_EQ(rows0.size(), 2u);
+  EXPECT_EQ(rows0[0].first, MakeActivity(5, 2));
+  EXPECT_EQ(rows0[0].second.entries, 1u);
   // Entry 2's delta (60 - 50) lands on the activity set at entry 1.
-  EXPECT_EQ(s0.activities[0].second.pulses, 10u);
-  EXPECT_EQ(s0.activities[1].first, MakeActivity(7, 3));
-  EXPECT_EQ(s0.activities[1].second.pulses, 0u);
+  EXPECT_EQ(rows0[0].second.pulses, 10u);
+  EXPECT_EQ(rows0[1].first, MakeActivity(7, 3));
+  EXPECT_EQ(rows0[1].second.pulses, 0u);
   EXPECT_TRUE(s0.MayContainOrigin(5));
   EXPECT_TRUE(s0.MayContainOrigin(7));
   EXPECT_FALSE(s0.MayContainOrigin(6));    // Range hit, filter bit clear.
@@ -268,9 +265,11 @@ TEST(TraceIndexTest, BuilderFootersDescribeSegments) {
   // The CPU was still on (5, 2): segment 1's 10 pulses accrue to it even
   // though no entry in segment 1 carries the label.
   ASSERT_EQ(s1.activities.size(), 2u);
-  EXPECT_EQ(s1.activities[0].first, MakeActivity(5, 2));
-  EXPECT_EQ(s1.activities[0].second.entries, 0u);
-  EXPECT_EQ(s1.activities[0].second.pulses, 10u);
+  auto rows1 = Rows(s1);
+  ASSERT_EQ(rows1.size(), 2u);
+  EXPECT_EQ(rows1[0].first, MakeActivity(5, 2));
+  EXPECT_EQ(rows1[0].second.entries, 0u);
+  EXPECT_EQ(rows1[0].second.pulses, 10u);
 
   // The file-level table sums the rows of both segments.
   ASSERT_EQ(index.totals.size(), 3u);
@@ -336,7 +335,9 @@ TEST(TraceIndexTest, GoldenIndexBlockBytes) {
   EXPECT_EQ(parsed->row_bytes, 19u);
   ASSERT_EQ(parsed->segments.size(), 2u);
   ASSERT_EQ(parsed->segments[1].activities.size(), 2u);
-  EXPECT_EQ(parsed->segments[1].activities[1].first, MakeActivity(70, 1));
+  auto rows1 = Rows(parsed->segments[1]);
+  ASSERT_EQ(rows1.size(), 2u);
+  EXPECT_EQ(rows1[1].first, MakeActivity(70, 1));
   auto totals = parsed->ActivityTotals();
   ASSERT_EQ(totals.size(), 3u);
   EXPECT_EQ(totals[MakeActivity(5, 2)].pulses, 20u);
@@ -357,9 +358,11 @@ TEST(TraceIndexTest, Version1GoldenBlockStillParses) {
   EXPECT_EQ(seg.time_max64, 0x1112131415161718ull);
   EXPECT_EQ(seg.origin_filter, 0xA0u);
   ASSERT_EQ(seg.activities.size(), 1u);
-  EXPECT_EQ(seg.activities[0].first, MakeActivity(5, 2));
-  EXPECT_EQ(seg.activities[0].second.entries, 1u);
-  EXPECT_EQ(seg.activities[0].second.pulses, 10u);
+  auto rows = Rows(seg);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].first, MakeActivity(5, 2));
+  EXPECT_EQ(rows[0].second.entries, 1u);
+  EXPECT_EQ(rows[0].second.pulses, 10u);
   // Without a totals table, the totals are the summed rows.
   auto totals = parsed->ActivityTotals();
   ASSERT_EQ(totals.size(), 1u);
@@ -596,12 +599,6 @@ TEST(IndexedSpillTest, ArbitraryTrailingGarbageStillRejected) {
   std::remove(path.c_str());
 }
 
-void WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
-  std::ofstream(path, std::ios::binary | std::ios::trunc)
-      .write(reinterpret_cast<const char*>(bytes.data()),
-             static_cast<std::streamsize>(bytes.size()));
-}
-
 std::vector<uint8_t> Concat(std::vector<uint8_t> head,
                             const std::vector<uint8_t>& tail) {
   head.insert(head.end(), tail.begin(), tail.end());
@@ -637,15 +634,21 @@ TEST(IndexedSpillTest, HostileSegmentCountIsRejectedNotAllocated) {
   }
 }
 
-TEST(IndexedSpillTest, SegmentWithMoreThan65535RowsStaysIndexed) {
-  // 70 000 distinct labels in one segment: more rows than version 1's
-  // u16 row count could hold. A constant iCount keeps pulses out, so
-  // there is exactly one row per label.
+// 70 000 distinct labels in one segment: more rows than version 1's u16
+// row count could hold. A constant iCount keeps pulses out, so there is
+// exactly one row per label, and the labels step by one within each of
+// 70 origins of 1 000 ids.
+std::vector<LogEntry> WideSegmentEntries() {
   std::vector<LogEntry> entries;
   for (uint32_t i = 0; i < 70000; ++i) {
     entries.push_back(ActEntry(1000 + i, 7, 1 + i / 1000,
                                static_cast<act_id_t>(1 + i % 1000)));
   }
+  return entries;
+}
+
+TEST(IndexedSpillTest, SegmentWithMoreThan65535RowsStaysIndexed) {
+  auto entries = WideSegmentEntries();
   std::string path = TempPath("wide_segment");
   WriteSpill(path, entries, 70000, true);
   TraceFileReader reader(path);
@@ -660,6 +663,126 @@ TEST(IndexedSpillTest, SegmentWithMoreThan65535RowsStaysIndexed) {
   EXPECT_EQ(totals->size(), 70000u);
   ExpectSameTotals(*totals, TraceIndexBuilder::ScanActivityTotals(entries));
   std::remove(path.c_str());
+}
+
+void ExpectSameRows(const std::vector<ActivityRow>& got,
+                    const std::vector<ActivityRow>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].first, want[i].first) << "row " << i;
+    EXPECT_EQ(got[i].second.entries, want[i].second.entries) << "row " << i;
+    EXPECT_EQ(got[i].second.pulses, want[i].second.pulses) << "row " << i;
+  }
+}
+
+// Find on `label` agrees with the decoded `rows` (sorted by label).
+void ExpectFindAgrees(const ActivityRows& view,
+                      const std::vector<ActivityRow>& rows, act_t label,
+                      const std::string& what) {
+  auto it = std::lower_bound(
+      rows.begin(), rows.end(), label,
+      [](const ActivityRow& row, act_t value) { return row.first < value; });
+  bool stored = it != rows.end() && it->first == label;
+  std::optional<ActivitySummary> found = view.Find(label);
+  ASSERT_EQ(found.has_value(), stored) << what << ": label " << label;
+  if (stored) {
+    EXPECT_EQ(found->entries, it->second.entries) << what << ": " << label;
+    EXPECT_EQ(found->pulses, it->second.pulses) << what << ": " << label;
+  }
+}
+
+// Walks every row of `seg`, then checks Find against the walk on every
+// stored label, each label +- 1, and both ends of the label range.
+void ExpectViewConsistent(const SegmentFooter& seg, const std::string& what) {
+  std::vector<ActivityRow> rows;
+  for (const ActivityRow& row : seg.activities) {
+    ASSERT_TRUE(rows.empty() || row.first > rows.back().first) << what;
+    rows.push_back(row);
+  }
+  ASSERT_EQ(rows.size(), seg.activities.size()) << what;
+  EXPECT_EQ(rows.empty(), seg.activities.empty()) << what;
+  ExpectFindAgrees(seg.activities, rows, 0, what);
+  ExpectFindAgrees(seg.activities, rows, ~act_t{0}, what);
+  for (const ActivityRow& row : rows) {
+    ExpectFindAgrees(seg.activities, rows, row.first - 1, what);
+    ExpectFindAgrees(seg.activities, rows, row.first, what);
+    ExpectFindAgrees(seg.activities, rows, row.first + 1, what);
+  }
+}
+
+TEST(IndexedSpillTest, FindHitsEveryRestartBoundaryOfAWideSegment) {
+  auto entries = WideSegmentEntries();
+  std::string path = TempPath("wide_find");
+  WriteSpill(path, entries, 70000, true);
+  TraceFileReader reader(path);
+  ASSERT_TRUE(reader.has_index()) << reader.index_note();
+  const ActivityRows& view = reader.index().segments[0].activities;
+  auto rows = Rows(reader.index().segments[0]);
+  ASSERT_EQ(rows.size(), 70000u);
+  constexpr size_t kStep = ActivityRows::kRestartInterval;
+  // Rows at, just before and just after every restart, and the labels
+  // one either side of each restart's own: the ids run 1..1000 in each
+  // origin, so some of those neighbours are stored and some are not.
+  for (size_t r = 0; r < rows.size(); r += kStep) {
+    for (size_t at : {r - 1, r, r + 1}) {
+      if (at < rows.size()) {
+        ExpectFindAgrees(view, rows, rows[at].first,
+                         "row " + std::to_string(at));
+      }
+    }
+    ExpectFindAgrees(view, rows, rows[r].first - 1, "below restart " +
+                                                        std::to_string(r));
+    ExpectFindAgrees(view, rows, rows[r].first + 1, "above restart " +
+                                                        std::to_string(r));
+  }
+  // The last run is shorter than a full interval.
+  ASSERT_NE(rows.size() % kStep, 0u);
+  ExpectFindAgrees(view, rows, rows.back().first, "last row");
+  ExpectFindAgrees(view, rows, rows.back().first + 1, "past the last row");
+  ExpectFindAgrees(view, rows, 0, "below every row");
+  std::remove(path.c_str());
+}
+
+TEST(IndexedSpillTest, RowViewsOutliveTheirSource) {
+  // ParseBuilt returns value_or's copy; the optional it copied from is
+  // gone by the time the rows are read.
+  TraceIndex index = ParseBuilt(GoldenBuilder(), 72);
+  ASSERT_EQ(index.segments.size(), 2u);
+  auto rows = Rows(index.segments[1]);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[1].first, MakeActivity(70, 1));
+  auto found = index.segments[1].activities.Find(MakeActivity(5, 2));
+  ASSERT_TRUE(found.has_value());
+  EXPECT_EQ(found->pulses, 10u);
+
+  // A footer and a bare view copied out of a reader, read after the
+  // reader is destroyed.
+  auto entries = SyntheticStream(5000);
+  std::string path = TempPath("outlive");
+  WriteSpill(path, entries, 1000, true);
+  SegmentFooter footer;
+  ActivityRows view;
+  std::vector<ActivityRow> want;
+  {
+    TraceFileReader reader(path);
+    ASSERT_TRUE(reader.has_index()) << reader.index_note();
+    ASSERT_EQ(reader.index().segments.size(), 5u);
+    footer = reader.index().segments[2];
+    view = reader.index().segments[4].activities;
+    want = Rows(reader.index().segments[2]);
+  }
+  std::remove(path.c_str());
+  ASSERT_FALSE(want.empty());
+  ExpectSameRows(Rows(footer), want);
+  ExpectViewConsistent(footer, "footer copy");
+  std::vector<ActivityRow> last(view.begin(), view.end());
+  EXPECT_EQ(last.size(), view.size());
+  EXPECT_FALSE(last.empty());
+  for (const ActivityRow& row : last) {
+    auto hit = view.Find(row.first);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->entries, row.second.entries);
+  }
 }
 
 // A parsed index hand-encoded in the version 1 layout (each record's
@@ -755,7 +878,8 @@ TEST(IndexedSpillTest, Version1IndexedFileStillServesQueries) {
 // `data` (the bytes of an unindexed spill of `want`). ParseTraceIndex
 // must accept or reject each one without crashing, over-reading (the
 // parser sees a buffer exactly as long as the mutated block) or
-// allocating past the block's size; and the file data + mutated block
+// allocating past the block's size; every accepted block's row views
+// must walk and Find consistently; and the file data + mutated block
 // must still read back exactly `want`, index or no index.
 void SweepIndexMutations(const std::vector<uint8_t>& data,
                          const std::vector<uint8_t>& block,
@@ -767,6 +891,11 @@ void SweepIndexMutations(const std::vector<uint8_t>& data,
   auto check = [&](const std::vector<uint8_t>& mutated,
                    const std::string& what) {
     auto parsed = ParseTraceIndex(mutated.data(), mutated.size(), data.size());
+    if (parsed.has_value()) {
+      for (const SegmentFooter& seg : parsed->segments) {
+        ExpectViewConsistent(seg, what);
+      }
+    }
     WriteBytes(path, Concat(data, mutated));
     TraceFileReader reader(path);
     ASSERT_TRUE(reader.ok()) << what;

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "src/hw/sinks.h"
+#include "tests/test_files.h"
 
 namespace quanto {
 namespace {
@@ -152,7 +153,7 @@ TEST(TraceIoTest, TooShortForHeaderRejected) {
 }
 
 TEST(TraceIoTest, FileRoundTrip) {
-  std::string path = ::testing::TempDir() + "/quanto_trace_test.qnto";
+  std::string path = TempPath("quanto_trace_test");
   auto original = SampleTrace();
   ASSERT_TRUE(WriteTraceFile(path, original));
   auto restored = ReadTraceFile(path);
@@ -224,8 +225,8 @@ TEST(TraceIoTest, FileTraceSinkSingleSegmentMatchesWriteTraceFile) {
   // A stream that fits one segment must produce a file byte-identical to
   // the batch writer's — the offline tooling cannot tell them apart.
   auto entries = SampleTrace();
-  std::string batch_path = ::testing::TempDir() + "/batch.qnto";
-  std::string spill_path = ::testing::TempDir() + "/spill.qnto";
+  std::string batch_path = TempPath("batch");
+  std::string spill_path = TempPath("spill");
   ASSERT_TRUE(WriteTraceFile(batch_path, entries));
   {
     FileTraceSink sink(spill_path);
@@ -249,7 +250,7 @@ TEST(TraceIoTest, FileTraceSinkSingleSegmentMatchesWriteTraceFile) {
 
 TEST(TraceIoTest, FileTraceSinkSpillsSegmentsAndReadsBack) {
   auto entries = WideSampleTrace();  // 140 entries, mixed legacy/wide.
-  std::string path = ::testing::TempDir() + "/segments.qnto";
+  std::string path = TempPath("segments");
   {
     FileTraceSink sink(path, 32);  // Force several segments.
     for (const LogEntry& e : entries) {
@@ -272,7 +273,7 @@ TEST(TraceIoTest, FileTraceSinkSpillsSegmentsAndReadsBack) {
 }
 
 TEST(TraceIoTest, EmptyFileTraceSinkWritesValidEmptyTrace) {
-  std::string path = ::testing::TempDir() + "/empty.qnto";
+  std::string path = TempPath("empty");
   {
     FileTraceSink sink(path);
     ASSERT_TRUE(sink.Close());

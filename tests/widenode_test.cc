@@ -33,6 +33,7 @@
 #include "src/net/medium.h"
 #include "src/net/packet.h"
 #include "src/sim/sharded_sim.h"
+#include "tests/golden_containers.h"
 
 namespace quanto {
 namespace {
@@ -92,27 +93,8 @@ std::vector<LogEntry> WideEntries() {
   };
 }
 
-// Byte-for-byte output of SerializeTrace(LegacyEntries(), kAuto) from the
-// pre-refactor build (16-bit node ids, v1/v2 only).
-const uint8_t kGoldenV1Blob[] = {
-    0x51,0x4E,0x54,0x4F,0x01,0x00,0x00,0x00,0x06,0x00,0x00,0x00,
-    0x00,0x03,0x64,0x00,0x00,0x00,0x07,0x00,0x00,0x00,0x02,0x00,
-    0x01,0x00,0x96,0x00,0x00,0x00,0x09,0x00,0x00,0x00,0x09,0x04,
-    0x02,0x00,0x97,0x00,0x00,0x00,0x09,0x00,0x00,0x00,0xE0,0x01,
-    0x03,0x05,0xF0,0xFF,0xFF,0xFF,0xFE,0xFF,0xFF,0xFF,0xFF,0xFF,
-    0x00,0x01,0x0C,0x00,0x00,0x00,0x01,0x00,0x00,0x00,0xFF,0xFF,
-    0x04,0x05,0x11,0x00,0x00,0x00,0x03,0x00,0x00,0x00,0x00,0x00,
-};  // 84 bytes, fnv=0xb8d7775bfd1569fd
-
-const uint8_t kGoldenV2Blob[] = {
-    0x51,0x4E,0x54,0x4F,0x02,0x00,0x00,0x00,0x05,0x00,0x00,0x00,
-    0x01,0x00,0x64,0x00,0x00,0x00,0x07,0x00,0x00,0x00,0x09,0x00,
-    0x2C,0x01,0x00,0x03,0x96,0x00,0x00,0x00,0x09,0x00,0x00,0x00,
-    0x45,0x23,0x01,0x00,0x01,0x02,0x97,0x00,0x00,0x00,0x09,0x00,
-    0x00,0x00,0xFF,0xFF,0xFE,0xFF,0x03,0x05,0x98,0x00,0x00,0x00,
-    0x0A,0x00,0x00,0x00,0x01,0x00,0x01,0x00,0x00,0x01,0xFF,0xFF,
-    0xFF,0xFF,0xFF,0xFF,0xFF,0xFF,0xFF,0xFF,0xFF,0xFF,
-};  // 82 bytes, fnv=0x604d04409ba17cae
+// kGoldenV1Blob and kGoldenV2Blob (tests/golden_containers.h) are
+// SerializeTrace(LegacyEntries()) and SerializeTrace(WideEntries()).
 
 constexpr uint64_t kGoldenFixedMergedHash = 0x5ce947562b73dbc4ull;
 constexpr size_t kGoldenFixedMergedCount = 17;
