@@ -20,8 +20,12 @@
 // so the emitted sequence, FNV fingerprint, spill bytes and regression
 // feed equal those of the batch merge of the same run.
 // Run buffers retire through the merger's freelist into a shared return
-// queue and flow back to the shard builders at the next barrier, keeping
-// the steady state allocation-free end to end.
+// queue, and the producer hands them back at a later barrier, one to each
+// builder whose run it takes. So the buffers in circulation stay bounded
+// by the runs in flight, never by the run's length: at most
+// shards × (max_depth + 4) — max_depth queued windows, the window being
+// merged, the window being submitted, and each builder's run and carry
+// buffers.
 //
 // Ownership and thread discipline:
 //  * The merger (and everything reachable from its emit hook — the
@@ -103,10 +107,10 @@ class EmissionPipeline {
                     bool profile);
 
   // Producer-side freelists: run buffers the consumer fully emitted
-  // (cleared, capacity intact) ready to back the builders' next BuildRun,
-  // and consumed batch vectors ready for the next SubmitWindow. Both
-  // return false when empty — the producer then starts with a fresh
-  // buffer.
+  // (cleared, capacity intact), to pass to ShardRunBuilder::TakeRun for
+  // the builder's next BuildRun, and consumed batch vectors ready for the
+  // next SubmitWindow. Both return false when empty — the producer then
+  // starts with a fresh buffer.
   bool TakeRetiredRun(std::vector<MergedEntry>* out);
   bool TakeRetiredBatch(std::vector<ShardRun>* out);
 

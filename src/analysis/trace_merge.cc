@@ -282,20 +282,12 @@ size_t ShardRunBuilder::BuildRun(Tick barrier, bool flush_charges) {
   return run_.size();
 }
 
-std::vector<MergedEntry> ShardRunBuilder::TakeRun() {
+std::vector<MergedEntry> ShardRunBuilder::TakeRun(
+    std::vector<MergedEntry>&& next) {
   std::vector<MergedEntry> out = std::move(run_);
-  if (!spare_runs_.empty()) {
-    run_ = std::move(spare_runs_.back());
-    spare_runs_.pop_back();
-  } else {
-    run_ = std::vector<MergedEntry>();
-  }
+  run_ = std::move(next);
+  run_.clear();
   return out;
-}
-
-void ShardRunBuilder::RecycleRunBuffer(std::vector<MergedEntry>&& buf) {
-  buf.clear();
-  spare_runs_.push_back(std::move(buf));
 }
 
 }  // namespace quanto

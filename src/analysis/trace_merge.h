@@ -152,10 +152,9 @@ class MergedTraceHasher {
 // consumer thread, off the window barrier; see
 // src/analysis/emission_pipeline.h for the ownership rules.
 //
-// Peak memory is O(entries per watermark interval), not O(run), and the
-// steady state is allocation-free: consumed run buffers retire into a
-// freelist (handed back to the producer via TakeRetiredRuns, or reused
-// internally by OnChunk).
+// Peak memory is O(entries per watermark interval), not O(run). Consumed
+// run buffers retire into a freelist: OnChunk reuses them, and
+// TakeRetiredRuns hands them back to the producer.
 class StreamingTraceMerger : public TraceSink {
  public:
   // Called once per merged entry, in merge order. Optional: the merger
@@ -182,13 +181,15 @@ class StreamingTraceMerger : public TraceSink {
 
   // Appends every fully-consumed run buffer (cleared, capacity intact) to
   // `out` for the producer to build its next runs in; returns how many.
-  // The steady-state loop — BuildRun, OnRun, AdvanceWatermark,
-  // TakeRetiredRuns — allocates nothing once buffers reach working size.
-  // The off-barrier emission consumer (EmissionPipeline) harvests with
-  // this while it owns the merger, then ferries the buffers back to the
-  // shard builders through its own mutex-protected return queue — the
-  // merger itself stays single-threaded (exactly one thread may touch it
-  // at a time; the pipeline's queue and Drain() provide the ordering).
+  // In the loop BuildRun, TakeRun(retired buffer), OnRun,
+  // AdvanceWatermark, TakeRetiredRuns, a buffer is allocated only when a
+  // run is taken and none has retired yet, and grows only when it carries
+  // a larger run than before. The off-barrier emission consumer
+  // (EmissionPipeline) harvests with this while it owns the merger, then
+  // ferries the buffers back to the shard builders through its own
+  // mutex-protected return queue — the merger itself stays
+  // single-threaded (exactly one thread may touch it at a time; the
+  // pipeline's queue and Drain() provide the ordering).
   size_t TakeRetiredRuns(std::vector<std::vector<MergedEntry>>* out);
 
   // Every stream is complete strictly below `watermark` (unwrapped time):
@@ -294,8 +295,8 @@ class StreamingTraceMerger : public TraceSink {
 //
 // Thread discipline: everything here is owned by the shard — touched by
 // the shard's worker during windows and the pre-barrier phase, and by the
-// coordinator only between windows (TakeRun/RecycleRunBuffer, dirty marks
-// from barrier-hook logging). The window barrier orders the two; there is
+// coordinator only between windows (TakeRun, dirty marks from
+// barrier-hook logging). The window barrier orders the two; there is
 // no locking.
 class ShardRunBuilder : public TraceSink {
  public:
@@ -339,11 +340,12 @@ class ShardRunBuilder : public TraceSink {
   size_t BuildRun(Tick barrier, bool flush_charges = false);
 
   bool HasRun() const { return !run_.empty(); }
-  // Moves the built run out (for StreamingTraceMerger::OnRun); the next
-  // BuildRun starts in a recycled or fresh buffer.
-  std::vector<MergedEntry> TakeRun();
-  // Returns a consumed run buffer for the next BuildRun to fill.
-  void RecycleRunBuffer(std::vector<MergedEntry>&& buf);
+  // Moves the built run out (for StreamingTraceMerger::OnRun) and puts
+  // `next` in its place for the next BuildRun to fill: a consumed run
+  // buffer handed back by the caller, or an empty vector when none is
+  // waiting. A builder holds no spare buffers of its own, so buffers go
+  // only where runs are taken and a quiet shard hoards nothing.
+  std::vector<MergedEntry> TakeRun(std::vector<MergedEntry>&& next = {});
 
   // TraceSink: receives the chunks the dirty loggers seal inside
   // BuildRun.
@@ -396,7 +398,6 @@ class ShardRunBuilder : public TraceSink {
   std::vector<QuantoLogger*> dirty_;
   std::vector<MergedEntry> run_;    // The built (or building) run.
   std::vector<MergedEntry> carry_;  // Held-back boundary entries.
-  std::vector<std::vector<MergedEntry>> spare_runs_;
   TraceChunkPool pool_;
   uint64_t seal_calls_ = 0;
   uint64_t runs_built_ = 0;

@@ -376,26 +376,25 @@ void ScaleNetwork::HandOffRuns(Tick window_end, bool record_profile) {
   // concurrently with the next window (and records merge_us there).
   // SubmitWindow only blocks when the consumer is max_depth windows
   // behind (accounted as consumer_stall_us).
+  //
+  // Run buffers come back on the consumer's schedule. Only a builder whose
+  // run is taken gets one in its place — a retired buffer when one is
+  // waiting, else an empty vector — so a quiet shard holds no spares and
+  // the buffers in circulation stay bounded by the runs in flight.
   EmissionPipeline* pipe = config_.emission_pipeline;
   std::vector<EmissionPipeline::ShardRun> batch;
   pipe->TakeRetiredBatch(&batch);
   for (const auto& b : builders_) {
     if (b->HasRun()) {
+      std::vector<MergedEntry> next;
+      if (!pipe->TakeRetiredRun(&next)) {
+        ++run_buffers_allocated_;
+      }
       batch.push_back(EmissionPipeline::ShardRun{
-          static_cast<uint32_t>(b->shard()), b->TakeRun()});
+          static_cast<uint32_t>(b->shard()), b->TakeRun(std::move(next))});
     }
   }
   pipe->SubmitWindow(std::move(batch), window_end, profile);
-  // Run buffers come back on the consumer's schedule; whatever has
-  // retired by now backs upcoming windows (allocation-free once the
-  // queue's working set — max_depth windows of runs — has cycled).
-  std::vector<MergedEntry> buf;
-  for (const auto& b : builders_) {
-    if (!pipe->TakeRetiredRun(&buf)) {
-      break;
-    }
-    b->RecycleRunBuffer(std::move(buf));
-  }
 }
 
 uint64_t ScaleNetwork::charge_flush_visits() const {

@@ -194,6 +194,10 @@ class ScaleNetwork {
   uint64_t premerge_seq_gaps() const;
   uint64_t chunks_sealed() const;
   uint64_t empty_seals_skipped() const;
+  // Run hand-offs that found no retired run buffer waiting and gave the
+  // builder an empty vector instead: the number of run buffers this
+  // network added to circulation. Flat after warm-up.
+  uint64_t run_buffers_allocated() const { return run_buffers_allocated_; }
   // Per-window profiling samples (profile_barrier only): max per-shard
   // run-build time, and the merge + watermark-emission time measured on
   // the consumer thread (copied back by SealAllChunks), outside the
@@ -216,8 +220,8 @@ class ScaleNetwork {
   void Build(const std::vector<EventQueue*>& queues,
              const std::vector<Medium*>& media);
   // Coordinator half of the window barrier: queues every built run plus
-  // the watermark on the emission pipeline and recycles the run buffers
-  // the consumer has retired back to the builders. `record_profile` is
+  // the watermark on the emission pipeline, putting a run buffer the
+  // consumer has retired in each taken run's place. `record_profile` is
   // false for the end-of-run tail flush, which is not a window and would
   // skew the per-window percentiles.
   void HandOffRuns(Tick window_end, bool record_profile);
@@ -260,6 +264,7 @@ class ScaleNetwork {
   bool fused_charge_flush_ = false;
   uint64_t charge_flush_visits_ = 0;
   uint64_t charge_flush_windows_ = 0;
+  uint64_t run_buffers_allocated_ = 0;
   std::vector<uint32_t> seal_us_samples_;
   std::vector<uint32_t> merge_us_samples_;
   std::vector<uint32_t> flush_us_samples_;

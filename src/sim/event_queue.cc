@@ -69,15 +69,34 @@ void EventQueue::FarPopTop() {
 }
 
 void EventQueue::WheelInsert(const HeapEntry& entry) {
+  uint32_t node = free_node_;
+  if (node != kNoNode) {
+    free_node_ = wheel_nodes_[node].next;
+    wheel_nodes_[node] = WheelNode{entry, kNoNode};
+  } else {
+    node = static_cast<uint32_t>(wheel_nodes_.size());
+    wheel_nodes_.push_back(WheelNode{entry, kNoNode});
+  }
   size_t index = static_cast<size_t>(entry.time & kWheelMask);
   Bucket& bucket = wheel_[index];
   if (bucket.empty()) {
-    // Bucket fully consumed by a previous tick: recycle its storage.
-    bucket.entries.clear();
-    bucket.taken = 0;
+    bucket.head = node;
     MarkBucket(index);
+  } else {
+    wheel_nodes_[bucket.tail].next = node;
   }
-  bucket.entries.push_back(entry);
+  bucket.tail = node;
+}
+
+void EventQueue::WheelPopFront(size_t index) {
+  Bucket& bucket = wheel_[index];
+  uint32_t node = bucket.head;
+  bucket.head = wheel_nodes_[node].next;
+  wheel_nodes_[node].next = free_node_;
+  free_node_ = node;
+  if (bucket.empty()) {
+    ClearBucket(index);
+  }
 }
 
 int EventQueue::NextOccupiedBucket(Tick from) const {
@@ -162,12 +181,10 @@ Tick EventQueue::NextEventLowerBound() const {
   Tick from = wheel_pos_ < now_ ? now_ : wheel_pos_;
   int bidx = NextOccupiedBucket(from);
   if (bidx >= 0) {
-    const Bucket& bucket = wheel_[static_cast<size_t>(bidx)];
-    if (!bucket.empty()) {
-      Tick t = bucket.entries[bucket.taken].time;
-      if (t < best) {
-        best = t;
-      }
+    // An occupied bucket is never empty.
+    Tick t = WheelFront(wheel_[static_cast<size_t>(bidx)]).time;
+    if (t < best) {
+      best = t;
     }
   }
   if (!far_keys_.empty() && far_keys_.front() < best) {
@@ -184,7 +201,10 @@ bool EventQueue::PopNext(Tick limit, Tick* time, Callback* fn) {
   }
   // Locate the wheel's next live entry, dropping stale entries and
   // consumed buckets, refilling from the far heap when the wheel drains.
-  HeapEntry* wheel_entry = nullptr;
+  // The entry is copied out: a node pointer would not survive the pool
+  // growing.
+  HeapEntry wheel_entry{};
+  bool have_wheel = false;
   for (;;) {
     // Cursor-bucket fast path: within the window a non-empty bucket at
     // the cursor's index can only hold the cursor's own tick (indices are
@@ -210,20 +230,19 @@ bool EventQueue::PopNext(Tick limit, Tick* time, Callback* fn) {
       }
       break;
     }
-    Bucket& bucket = wheel_[static_cast<size_t>(bidx)];
-    while (!bucket.empty() &&
-           slots_[bucket.entries[bucket.taken].slot].generation !=
-               bucket.entries[bucket.taken].generation) {
-      ++bucket.taken;  // Stale: cancelled since it was scheduled.
+    const Bucket& bucket = wheel_[static_cast<size_t>(bidx)];
+    while (!bucket.empty() && slots_[WheelFront(bucket).slot].generation !=
+                                  WheelFront(bucket).generation) {
+      // Stale: cancelled since it was scheduled. Popping the last node
+      // also clears the bucket's bitmap bit.
+      WheelPopFront(static_cast<size_t>(bidx));
     }
     if (bucket.empty()) {
-      bucket.entries.clear();
-      bucket.taken = 0;
-      ClearBucket(static_cast<size_t>(bidx));
       continue;
     }
-    wheel_entry = &bucket.entries[bucket.taken];
-    wheel_pos_ = wheel_entry->time;  // Park the cursor on this tick.
+    wheel_entry = WheelFront(bucket);
+    have_wheel = true;
+    wheel_pos_ = wheel_entry.time;  // Park the cursor on this tick.
     break;
   }
   while (!DueEmpty() &&
@@ -240,11 +259,11 @@ bool EventQueue::PopNext(Tick limit, Tick* time, Callback* fn) {
   // its top joins the comparison.
   enum class Source { kWheel, kDue, kFar };
   Source source;
-  if (wheel_entry != nullptr && wheel_entry->time <= now_) {
+  if (have_wheel && wheel_entry.time <= now_) {
     source = Source::kWheel;
   } else if (!DueEmpty()) {
     source = Source::kDue;
-  } else if (wheel_entry == nullptr) {
+  } else if (!have_wheel) {
     return false;  // The scan loop drained the far heap into the wheel.
   } else {
     source = Source::kWheel;
@@ -253,13 +272,13 @@ bool EventQueue::PopNext(Tick limit, Tick* time, Callback* fn) {
                far_payloads_.front().generation) {
       FarPopTop();
     }
-    if (!far_keys_.empty() && FarTopEarlier(*wheel_entry)) {
+    if (!far_keys_.empty() && FarTopEarlier(wheel_entry)) {
       source = Source::kFar;
     }
   }
   HeapEntry top = source == Source::kDue
                       ? DueFront()
-                      : (source == Source::kFar ? FarTop() : *wheel_entry);
+                      : (source == Source::kFar ? FarTop() : wheel_entry);
   if (top.time > limit) {
     return false;
   }
@@ -270,17 +289,9 @@ bool EventQueue::PopNext(Tick limit, Tick* time, Callback* fn) {
     case Source::kFar:
       FarPopTop();
       break;
-    case Source::kWheel: {
-      size_t index = static_cast<size_t>(top.time & kWheelMask);
-      Bucket& bucket = wheel_[index];
-      ++bucket.taken;
-      if (bucket.empty()) {
-        bucket.entries.clear();
-        bucket.taken = 0;
-        ClearBucket(index);
-      }
+    case Source::kWheel:
+      WheelPopFront(static_cast<size_t>(top.time & kWheelMask));
       break;
-    }
   }
   *time = top.time;
   *fn = std::move(slots_[top.slot].fn);

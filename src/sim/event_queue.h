@@ -26,7 +26,10 @@
 //    timing wheel covering the next kNearHorizon ticks: one FIFO bucket
 //    per tick, so push is O(1) with no sift at all, and within a bucket
 //    insertion order IS (time, seq) order because seq is monotone. A
-//    two-level bitmap finds the next occupied bucket in O(1). Long-delay
+//    two-level bitmap finds the next occupied bucket in O(1). Buckets are
+//    head/tail links into one node pool per queue with a free list, so
+//    the wheel holds as many nodes as entries were ever pending at once,
+//    not a same-tick burst's worth in each of its buckets. Long-delay
 //    events (LPL check timers hundreds of milliseconds out) wait in a
 //    4-ary "far" heap and migrate into the wheel in horizon-sized batches
 //    only when it drains. Invariant: every far entry's time is >=
@@ -94,6 +97,10 @@ class EventQueue {
   size_t PendingCount() const { return live_count_; }
   uint64_t executed_count() const { return executed_count_; }
 
+  // Nodes in the timing wheel's pool: the most wheel entries (live or
+  // cancelled but not yet popped) that were ever pending at one time.
+  size_t wheel_nodes() const { return wheel_nodes_.size(); }
+
   // "Nothing pending" sentinel for NextEventLowerBound().
   static constexpr Tick kNoEventTime = ~Tick{0};
 
@@ -142,12 +149,18 @@ class EventQueue {
   static constexpr Tick kWheelMask = kNearHorizon - 1;
   static constexpr size_t kBitmapWords = kNearHorizon / 64;
 
-  // One wheel bucket: FIFO of entries for one exact tick. `taken` marks
-  // how many have been consumed (the vector's capacity is reused forever).
+  // One wheel bucket: the FIFO of entries for one exact tick, a linked
+  // list of nodes in wheel_nodes_. A bucket's bitmap bit is set exactly
+  // while its list is non-empty.
+  static constexpr uint32_t kNoNode = 0xFFFFFFFFu;
+  struct WheelNode {
+    HeapEntry entry;
+    uint32_t next;
+  };
   struct Bucket {
-    std::vector<HeapEntry> entries;
-    size_t taken = 0;
-    bool empty() const { return taken >= entries.size(); }
+    uint32_t head = kNoNode;
+    uint32_t tail = kNoNode;
+    bool empty() const { return head == kNoNode; }
   };
 
   // The single shared pop path: extracts the next live event with
@@ -158,6 +171,11 @@ class EventQueue {
   uint32_t AcquireSlot();
   void ReleaseSlot(uint32_t index);
   void WheelInsert(const HeapEntry& entry);
+  // Unlinks the head node of bucket `index` into the free list.
+  void WheelPopFront(size_t index);
+  const HeapEntry& WheelFront(const Bucket& bucket) const {
+    return wheel_nodes_[bucket.head].entry;
+  }
 
   // --- Split-array far heap --------------------------------------------------
   // far_keys_[i] / far_payloads_[i] describe one entry; heap order is
@@ -205,6 +223,8 @@ class EventQueue {
   std::vector<Slot> slots_;
   uint32_t free_head_ = kNoSlot;
   std::vector<Bucket> wheel_ = std::vector<Bucket>(kNearHorizon);
+  std::vector<WheelNode> wheel_nodes_;
+  uint32_t free_node_ = kNoNode;  // Free list through WheelNode::next.
   uint64_t occupied_[kBitmapWords] = {};
   std::vector<Tick> far_keys_;
   std::vector<FarPayload> far_payloads_;

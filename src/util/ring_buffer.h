@@ -14,6 +14,13 @@
 // Drain/Snapshot copy the retained range as at most two contiguous spans
 // instead of element-by-element.
 //
+// Restart when drained: whenever a Pop or a drain empties the buffer,
+// both ends go back to the first slot. A streamed logger's ring is
+// drained every lockstep window, so it keeps rewriting the slots one
+// window needs instead of walking (and page-faulting in) all of its
+// storage over the run. Order is unaffected: an empty buffer has nothing
+// to keep in place.
+//
 // Storage backing: by default the buffer owns a heap block
 // (value-initialized, as the old std::vector backing was). For
 // trivially-copyable T a construction Arena can back the storage instead
@@ -96,7 +103,9 @@ class RingBuffer {
   T Pop() {
     T item = data_[head_];
     head_ = Advance(head_);
-    --size_;
+    if (--size_ == 0) {
+      Restart();
+    }
     return item;
   }
 
@@ -106,8 +115,7 @@ class RingBuffer {
   const T& At(size_t index) const { return data_[(head_ + index) & mask_]; }
 
   void Clear() {
-    head_ = 0;
-    tail_ = 0;
+    Restart();
     size_ = 0;
     dropped_ = 0;
   }
@@ -138,6 +146,9 @@ class RingBuffer {
     AppendTo(out, n);
     head_ = (head_ + n) & mask_;
     size_ -= n;
+    if (size_ == 0) {
+      Restart();
+    }
     return n;
   }
 
@@ -151,6 +162,12 @@ class RingBuffer {
   }
 
   size_t Advance(size_t i) const { return (i + 1) & mask_; }
+
+  // Moves both ends of an empty buffer back to the storage base.
+  void Restart() {
+    head_ = 0;
+    tail_ = 0;
+  }
 
   // Appends the oldest `n` retained elements (n <= size_) to `out` as one
   // or two contiguous spans.

@@ -1,5 +1,5 @@
 // The parallel barrier pipeline: dirty-list sealing, per-shard pre-merged
-// runs, and the allocation-free freelist steady state.
+// runs, and freelist recycling.
 //
 // The contract under test is threefold:
 //  * Equivalence — pre-merged runs reproduce the batch merge exactly,
@@ -10,7 +10,8 @@
 //  * Dirty-list economics — an idle mote costs the collector nothing: no
 //    sweep visit, no seal call, no chunk, no merger churn.
 //  * Recycling — after warm-up, the seal -> merge -> recycle loop
-//    performs no entry-buffer or run-buffer allocation.
+//    performs no entry-buffer allocation, and the run buffers in
+//    circulation stay bounded by the runs in flight.
 
 #include <gtest/gtest.h>
 
@@ -230,6 +231,9 @@ TEST(TraceChunkPoolTest, SteadyStateSealAndMergeAllocateNothing) {
   StreamingTraceMerger merger;
 
   uint64_t allocated_after_warmup = 0;
+  // Run buffers the merger has retired: each taken run's place is filled
+  // with one of them.
+  std::vector<std::vector<MergedEntry>> retired;
   for (int window = 0; window < 50; ++window) {
     clock.now = 1000 * (window + 1);
     for (int j = 0; j < 8; ++j) {
@@ -238,14 +242,15 @@ TEST(TraceChunkPoolTest, SteadyStateSealAndMergeAllocateNothing) {
     Tick barrier = clock.now + 1;
     builder.BuildRun(barrier);
     if (builder.HasRun()) {
-      merger.OnRun(0, builder.TakeRun());
+      std::vector<MergedEntry> next;
+      if (!retired.empty()) {
+        next = std::move(retired.back());
+        retired.pop_back();
+      }
+      merger.OnRun(0, builder.TakeRun(std::move(next)));
     }
     merger.AdvanceWatermark(barrier);
-    std::vector<std::vector<MergedEntry>> retired;
     merger.TakeRetiredRuns(&retired);
-    for (std::vector<MergedEntry>& buf : retired) {
-      builder.RecycleRunBuffer(std::move(buf));
-    }
     if (window == 4) {
       allocated_after_warmup = builder.pool().allocated();
     }
@@ -260,6 +265,8 @@ TEST(TraceChunkPoolTest, SteadyStateSealAndMergeAllocateNothing) {
   EXPECT_EQ(builder.pool().allocated(), allocated_after_warmup);
   EXPECT_EQ(merger.emitted(), 400u);
   EXPECT_EQ(merger.buffered(), 0u);
+  // One run taken per window, one buffer back: none piles up.
+  EXPECT_EQ(retired.size(), 1u);
 }
 
 // --- End-to-end equivalence --------------------------------------------------
@@ -489,6 +496,60 @@ TEST(BarrierPipelineTest, SpillBytesIdenticalToBatchWriter) {
   std::remove(batch_path.c_str());
   std::remove(premerge_path.c_str());
   std::remove(coord_path.c_str());
+}
+
+TEST(BarrierPipelineTest, RunBuffersStayBoundedWithQuietShards) {
+  // A 64-mote chain over 8 shards: in most windows only one or two shards
+  // log anything. Retired run buffers go only to builders whose run is
+  // taken, so the buffers in circulation stay within what the pipeline
+  // can hold in flight, shards × (max_depth + 4), however the runs are
+  // spread over the shards.
+  for (size_t threads : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE(threads);
+    ShardedSimulator::Config sim_cfg;
+    sim_cfg.shards = 8;
+    sim_cfg.threads = threads;
+    sim_cfg.lookahead = Microseconds(512);
+    ShardedSimulator sim(sim_cfg);
+    MediumFabric fabric(&sim);
+    StreamingTraceMerger merger;
+    EmissionPipeline emission(&merger);
+    ScaleNetworkConfig cfg;
+    cfg.motes = 64;
+    cfg.log_capacity = 512;
+    cfg.batch_log_charging = true;
+    cfg.emission_pipeline = &emission;
+    ScaleNetwork net(&sim, &fabric, cfg);
+    net.PowerUp();
+    sim.RunFor(Milliseconds(5));
+    net.StartApps();
+
+    const uint64_t bound = sim_cfg.shards * (emission.max_depth() + 4);
+    // Warm-up is the first two simulated seconds (about 1 000 windows).
+    uint64_t warmup_windows = 0;
+    uint64_t warmup_allocated = 0;
+    for (int second = 1; sim.windows_run() < 10000; ++second) {
+      ASSERT_LE(second, 120) << "too few windows per simulated second";
+      sim.RunFor(Seconds(1));
+      ASSERT_LE(net.run_buffers_allocated(), bound)
+          << "after " << sim.windows_run() << " windows";
+      if (second == 2) {
+        warmup_windows = sim.windows_run();
+        warmup_allocated = net.run_buffers_allocated();
+      }
+    }
+    net.SealAllChunks();
+    merger.Finish();
+    EXPECT_EQ(net.entries_dropped(), 0u);
+    EXPECT_EQ(net.premerge_seq_gaps(), 0u);
+    EXPECT_GT(warmup_allocated, 0u);
+    EXPECT_LE(net.run_buffers_allocated(), bound);
+    // After warm-up fewer than 1 window in 100 adds a buffer: only a
+    // deeper backlog than any before can add one.
+    uint64_t later_windows = sim.windows_run() - warmup_windows;
+    EXPECT_LT((net.run_buffers_allocated() - warmup_allocated) * 100,
+              later_windows);
+  }
 }
 
 TEST(BarrierPipelineTest, SingleEngineBuildDegradesToPlainStreaming) {

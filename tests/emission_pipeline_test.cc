@@ -158,7 +158,7 @@ TEST(EmissionPipelineTest, EarlyTeardownFinishesQueueWithoutMergeLoss) {
 }
 
 TEST(EmissionPipelineTest, RetiredRunBuffersFlowBackToProducer) {
-  // The allocation-free loop across the thread boundary: buffers the
+  // The recycling loop across the thread boundary: buffers the
   // consumer finished emitting come back (cleared, capacity intact)
   // through TakeRetiredRun, and consumed batch vectors through
   // TakeRetiredBatch.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 namespace quanto {
@@ -125,6 +127,51 @@ TEST(EventQueueTest, PendingCountTracksScheduleAndCancel) {
   queue.RunAll();
   EXPECT_EQ(queue.PendingCount(), 0u);
   EXPECT_EQ(queue.executed_count(), 1u);
+}
+
+TEST(EventQueueTest, SameTickBurstsShareOneWheelNodePool) {
+  // 100 bursts of 2 000 same-tick events, each burst at its own wheel
+  // bucket, scheduled two bursts at a time and interleaved event by event
+  // so the two buckets' lists thread through one pool. Every third event
+  // of a burst is cancelled, the head among them, and so is its tail.
+  constexpr int kBurst = 2000;
+  // Two bursts are pending at a time, cancelled events included.
+  constexpr size_t kMostPending = 2 * kBurst;
+  EventQueue queue;
+  // (time, schedule order) of every event that ran, in run order.
+  std::vector<std::pair<Tick, int>> ran;
+  std::vector<std::pair<Tick, int>> expected;
+  int order = 0;
+  for (int round = 0; round < 50; ++round) {
+    // Distinct bucket indices: every burst lies within one wheel width
+    // (8 192 ticks) of the first.
+    Tick ticks[2] = {queue.Now() + 1 + round, queue.Now() + 2 + 2 * round};
+    std::vector<EventQueue::EventId> cancelled;
+    for (int i = 0; i < kBurst; ++i) {
+      for (Tick tick : ticks) {
+        int id = order++;
+        EventQueue::EventId event = queue.Schedule(
+            tick, [&ran, &queue, id] { ran.emplace_back(queue.Now(), id); });
+        if (i % 3 == 0 || i == kBurst - 1) {
+          cancelled.push_back(event);
+        } else {
+          expected.emplace_back(tick, id);
+        }
+      }
+    }
+    // Cancelled once both lists are whole.
+    for (EventQueue::EventId event : cancelled) {
+      EXPECT_TRUE(queue.Cancel(event));
+    }
+    queue.RunUntil(ticks[1]);
+    EXPECT_LE(queue.wheel_nodes(), kMostPending) << "round " << round;
+  }
+  // (time, seq) order: by tick, then by schedule order within a tick.
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(ran, expected);
+  EXPECT_TRUE(queue.Empty());
+  EXPECT_GT(queue.wheel_nodes(), 0u);
+  EXPECT_LE(queue.wheel_nodes(), kMostPending);
 }
 
 }  // namespace

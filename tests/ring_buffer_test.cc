@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <vector>
+
+#include "src/util/arena.h"
+
 namespace quanto {
 namespace {
 
@@ -136,6 +142,113 @@ TEST(RingBufferTest, OverwriteOldestKeepsNewestAtNonPow2Capacity) {
     buffer.Push(i);
   }
   EXPECT_EQ(buffer.Snapshot(), (std::vector<int>{7, 8, 9}));
+}
+
+// --- Restart when drained ----------------------------------------------------
+
+TEST(RingBufferTest, DrainThatEmptiesRestartsAtStorageBase) {
+  RingBuffer<int> buffer(8);
+  buffer.Push(1);
+  const int* base = &buffer.Front();
+  for (int i = 2; i <= 5; ++i) {
+    buffer.Push(i);
+  }
+  std::vector<int> out;
+  EXPECT_EQ(buffer.DrainInto(&out, 2), 2u);  // Partial: head moves on.
+  EXPECT_EQ(buffer.DrainInto(&out, 100), 3u);  // Empties the buffer.
+  EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4, 5}));
+  EXPECT_TRUE(buffer.Push(6));
+  EXPECT_EQ(&buffer.Front(), base);
+
+  // Pop that empties restarts the same way.
+  buffer.Push(7);
+  EXPECT_EQ(buffer.Pop(), 6);
+  EXPECT_EQ(buffer.Pop(), 7);
+  EXPECT_TRUE(buffer.Push(8));
+  EXPECT_EQ(&buffer.Front(), base);
+  EXPECT_EQ(buffer.Front(), 8);
+}
+
+TEST(RingBufferTest, PartialDrainKeepsItsPosition) {
+  RingBuffer<int> buffer(8);
+  for (int i = 1; i <= 5; ++i) {
+    buffer.Push(i);
+  }
+  const int* base = &buffer.At(0);
+  std::vector<int> out;
+  EXPECT_EQ(buffer.DrainInto(&out, 2), 2u);
+  EXPECT_EQ(&buffer.Front(), base + 2);
+  EXPECT_EQ(buffer.Front(), 3);
+  buffer.Push(6);  // Lands after 5, not at the base.
+  EXPECT_EQ(&buffer.At(3), base + 5);
+  EXPECT_EQ(buffer.Pop(), 3);
+  EXPECT_EQ(&buffer.Front(), base + 3);
+  EXPECT_EQ(buffer.Snapshot(), (std::vector<int>{4, 5, 6}));
+}
+
+// Entry order across wraps and restarts, against a deque model, for both
+// overflow policies and both storage backings.
+void CheckOrderAcrossWrapAndRestart(RingBuffer<int>::OverflowPolicy policy,
+                                    Arena* arena) {
+  const size_t capacity = 6;  // Eight slots: every cycle wraps.
+  RingBuffer<int> buffer(capacity, policy, arena);
+  std::deque<int> model;
+  size_t model_dropped = 0;
+  int next = 0;
+  auto push = [&](int n) {
+    for (int i = 0; i < n; ++i, ++next) {
+      if (model.size() == capacity) {
+        ++model_dropped;
+        if (policy == RingBuffer<int>::OverflowPolicy::kDropNewest) {
+          EXPECT_FALSE(buffer.Push(next));
+          continue;
+        }
+        model.pop_front();
+      }
+      EXPECT_TRUE(buffer.Push(next));
+      model.push_back(next);
+    }
+  };
+  auto drain = [&](size_t n) {
+    std::vector<int> out;
+    size_t moved = buffer.DrainInto(&out, n);
+    ASSERT_EQ(moved, std::min(n, model.size()));
+    for (int v : out) {
+      ASSERT_EQ(v, model.front());
+      model.pop_front();
+    }
+  };
+  for (int round = 0; round < 200; ++round) {
+    // Vary burst and drain sizes so the buffer empties (and restarts) at
+    // every head position, overflows and wraps.
+    push(1 + round % 9);
+    drain(static_cast<size_t>(round % 4));
+    if (round % 3 == 0 && !model.empty()) {
+      ASSERT_EQ(buffer.Pop(), model.front());
+      model.pop_front();
+    }
+    ASSERT_EQ(buffer.Snapshot(), std::vector<int>(model.begin(), model.end()))
+        << "round " << round;
+    if (round % 5 == 4) {
+      drain(capacity);  // Empty: the next push restarts at the base.
+      ASSERT_TRUE(buffer.empty());
+    }
+  }
+  EXPECT_EQ(buffer.dropped(), model_dropped);
+  EXPECT_GT(model_dropped, 0u);
+}
+
+TEST(RingBufferTest, OrderHoldsAcrossWrapAndRestart) {
+  for (auto policy : {RingBuffer<int>::OverflowPolicy::kDropNewest,
+                      RingBuffer<int>::OverflowPolicy::kOverwriteOldest}) {
+    SCOPED_TRACE(policy == RingBuffer<int>::OverflowPolicy::kDropNewest
+                     ? "drop newest"
+                     : "overwrite oldest");
+    CheckOrderAcrossWrapAndRestart(policy, nullptr);
+    Arena arena;
+    CheckOrderAcrossWrapAndRestart(policy, &arena);
+    EXPECT_GE(arena.bytes_allocated(), 8 * sizeof(int));
+  }
 }
 
 }  // namespace
