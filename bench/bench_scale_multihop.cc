@@ -61,8 +61,10 @@
 //                  shard's worker seals its dirty loggers into a
 //                  pre-merged run inside the barrier, and the emission
 //                  pipeline's consumer thread k-way merges the k = shards
-//                  runs off the barrier; per-window seal/merge/barrier
-//                  and drain/flush timing percentiles are recorded.
+//                  runs off the barrier, one hand-off per ~4 096 entries
+//                  (`handoffs` in the JSON); per-window seal/merge/barrier
+//                  and drain/flush timing percentiles are recorded, where
+//                  merge_us zeros are windows without a hand-off.
 //   --emission-depth  bounded hand-off queue depth in windows for
 //                  off-barrier emission (default 4); the coordinator
 //                  blocks (counted as consumer_stall_us) when the
@@ -206,10 +208,12 @@ struct RunResult {
   uint64_t empty_seals_skipped = 0;
   uint64_t premerge_seal_calls = 0;
   // Per-window barrier timing percentiles (streamed runs). merge_us is
-  // consumer-side (concurrent with simulation); window_us is the whole
-  // window's wall time, so the overlap is visible even on a timesliced
-  // 1-core host: merge_us stays out of barrier_us while window_us absorbs
-  // the consumer's share of the core.
+  // consumer-side (concurrent with simulation), one merge per hand-off
+  // placed at the window that submitted it: its zeros are windows without
+  // a hand-off, which is most of them when windows log little. window_us
+  // is the whole window's wall time, so the overlap is visible even on a
+  // timesliced 1-core host: merge_us stays out of barrier_us while
+  // window_us absorbs the consumer's share of the core.
   PctSummary seal_us;
   PctSummary merge_us;
   PctSummary barrier_us;
@@ -224,9 +228,12 @@ struct RunResult {
   // pre-barrier, so barrier_us is the O(shards) residue alone.
   PctSummary flush_us;
   // Off-barrier emission counters: total coordinator time blocked on a
-  // full hand-off queue, and the queued-run high-water mark.
+  // full hand-off queue, the queued-run high-water mark, and the hand-offs
+  // submitted (one per ScaleNetwork::kHandOffEntries entries, plus the
+  // tail).
   uint64_t consumer_stall_us = 0;
   uint64_t runs_queued_peak = 0;
+  uint64_t handoffs = 0;
   // Batched-charge flush counters (sharded runs): loggers visited across
   // all window flushes, and the flush rounds. Dirty-list flushing keeps
   // visits ≪ windows × motes.
@@ -427,6 +434,7 @@ RunResult RunNetwork(size_t n_motes, double sim_seconds,
       result.flush_us = Summarize(net.flush_us_samples());
       result.consumer_stall_us = emission->consumer_stall_us();
       result.runs_queued_peak = emission->runs_queued_peak();
+      result.handoffs = emission->windows_submitted();
       if (spill != nullptr) {
         if (spill->Close()) {
           std::cout << "  spilled merged trace " << opts.trace_path << " ("
@@ -569,6 +577,7 @@ void WriteJson(const std::vector<RunResult>& runs, const RunResult& core,
         << ", \"peak_rss_mb\": " << r.peak_rss_mb
         << ", \"consumer_stall_us\": " << r.consumer_stall_us
         << ", \"runs_queued_peak\": " << r.runs_queued_peak
+        << ", \"handoffs\": " << r.handoffs
         << ", \"charge_flush_visits\": " << r.charge_flush_visits
         << ", \"charge_flush_windows\": " << r.charge_flush_windows
         << ", \"construct_ms\": " << r.construct_ms

@@ -25,7 +25,7 @@ void EmissionPipeline::SubmitWindow(std::vector<ShardRun>&& runs,
                                     uint64_t watermark, bool profile) {
   std::unique_lock<std::mutex> lock(mu_);
   if (queue_.size() >= max_depth_) {
-    // Backpressure: the consumer is max_depth windows behind. This is the
+    // Backpressure: the consumer is max_depth hand-offs behind. This is the
     // only path by which the backend slows the simulation, so the time is
     // accounted — a persistently growing consumer_stall_us means the
     // merge is the bottleneck, not the barrier.

@@ -12,20 +12,25 @@
 // change either.
 //
 // EmissionPipeline is the decoupling, and the sharded runner's only
-// streamed collection path. At the barrier the coordinator hands the
-// window's runs plus the new watermark to a bounded queue and immediately
-// releases the shards into the next window; the consumer thread drains
-// the queue in FIFO order, making the calls a barrier-side merge would
-// make — OnRun per run in ascending shard order, then AdvanceWatermark —
-// so the emitted sequence, FNV fingerprint, spill bytes and regression
-// feed equal those of the batch merge of the same run.
+// streamed collection path. Each submission is one *hand-off*: the
+// shards' runs plus the new watermark. The sharded runner does not hand
+// off every window: its builders append window after window to their
+// runs, and a barrier hands them off once together they hold
+// ScaleNetwork::kHandOffEntries entries (and the end-of-run tail always),
+// so one lock and one consumer wake-up serve many small windows. The
+// coordinator queues a hand-off and immediately releases the shards into
+// the next window; the consumer thread drains the queue in FIFO order,
+// making the calls a barrier-side merge would make — OnRun per run in
+// ascending shard order, then AdvanceWatermark — so the emitted sequence,
+// FNV fingerprint, spill bytes and regression feed equal those of the
+// batch merge of the same run.
 // Run buffers retire through the merger's freelist into a shared return
 // queue, and the producer hands them back at a later barrier, one to each
-// builder whose run it takes. So the buffers in circulation stay bounded
-// by the runs in flight, never by the run's length: at most
-// shards × (max_depth + 4) — max_depth queued windows, the window being
-// merged, the window being submitted, and each builder's run and carry
-// buffers.
+// builder whose run it takes. A hand-off carries at most one run per
+// shard, so the buffers in circulation stay bounded by the runs in
+// flight, never by the run's length: at most shards × (max_depth + 4) —
+// max_depth queued hand-offs, the hand-off being merged, the one being
+// submitted, and each builder's run and carry buffers.
 //
 // Ownership and thread discipline:
 //  * The merger (and everything reachable from its emit hook — the
@@ -35,16 +40,18 @@
 //    between.
 //  * SubmitWindow / TakeRetiredRun / TakeRetiredBatch are producer-side:
 //    called by the coordinator at window barriers (one thread at a time).
-//  * Drain() blocks until every submitted window is consumed and
+//    SubmitWindow keeps its name, but what it queues is a hand-off, which
+//    may span many windows.
+//  * Drain() blocks until every submitted hand-off is consumed and
 //    establishes the happens-before edge that makes the merger (hash,
 //    counters, Finish) safe to read from the caller's thread.
 //
-// Backpressure: the queue holds at most `max_depth` windows. When the
-// consumer falls that many windows behind, SubmitWindow blocks the
-// coordinator until a slot frees — bounding buffered entries to
-// O(max_depth windows) so 16 384-mote memory stays flat — and the time
-// spent blocked is accounted in consumer_stall_us(). runs_queued_peak()
-// records the high-water mark of queued run buffers.
+// Backpressure: the queue holds at most `max_depth` hand-offs (not
+// windows). When the consumer falls that many hand-offs behind,
+// SubmitWindow blocks the coordinator until a slot frees — bounding
+// buffered entries to O(max_depth hand-offs) so 16 384-mote memory stays
+// flat — and the time spent blocked is accounted in consumer_stall_us().
+// runs_queued_peak() records the high-water mark of queued run buffers.
 //
 // Teardown: the destructor asks the consumer to finish the remaining
 // queue and joins it — early teardown (no Drain) loses no merge output
@@ -71,14 +78,14 @@ namespace quanto {
 
 class EmissionPipeline {
  public:
-  // One shard's pre-merged run for one window (ShardRunBuilder::TakeRun
+  // One shard's pre-merged run for one hand-off (ShardRunBuilder::TakeRun
   // output, tagged with the merger stream key).
   struct ShardRun {
     uint32_t shard = 0;
     std::vector<MergedEntry> run;
   };
 
-  // Windows the queue may hold before SubmitWindow blocks the producer.
+  // Hand-offs the queue may hold before SubmitWindow blocks the producer.
   static constexpr size_t kDefaultMaxDepth = 4;
 
   // The pipeline does not own the merger object (callers build the merger
@@ -96,13 +103,13 @@ class EmissionPipeline {
   StreamingTraceMerger* merger() { return merger_; }
   size_t max_depth() const { return max_depth_; }
 
-  // Hands one window to the consumer: the window's runs (ascending shard
-  // order — the consumer preserves submission order within and across
-  // batches) and the watermark to advance to after ingesting them. An
-  // empty `runs` is a watermark-only window and must still be submitted —
-  // watermark advances are what emit buffered entries. Blocks when the
+  // Hands one hand-off to the consumer: its runs (ascending shard order —
+  // the consumer preserves submission order within and across batches)
+  // and the watermark to advance to after ingesting them. An empty `runs`
+  // is a watermark-only hand-off; watermark advances are what emit
+  // buffered entries, so the last one must be submitted. Blocks when the
   // queue is full (backpressure). `profile` asks the consumer to record
-  // this window's merge time into merge_us_samples().
+  // this hand-off's merge time into merge_us_samples().
   void SubmitWindow(std::vector<ShardRun>&& runs, uint64_t watermark,
                     bool profile);
 
@@ -114,7 +121,7 @@ class EmissionPipeline {
   bool TakeRetiredRun(std::vector<MergedEntry>* out);
   bool TakeRetiredBatch(std::vector<ShardRun>* out);
 
-  // Blocks until every submitted window has been fully consumed. After
+  // Blocks until every submitted hand-off has been fully consumed. After
   // Drain returns — and until the next SubmitWindow — the caller may read
   // the merger directly (hash, emitted, Finish) and any state the emit
   // hook wrote. The tail-flush ordering is: seal everything, submit the
@@ -127,9 +134,10 @@ class EmissionPipeline {
   uint64_t consumer_stall_us() const;
   // High-water mark of run buffers queued and not yet consumed.
   size_t runs_queued_peak() const;
+  // Hand-offs submitted and consumed (a hand-off may span many windows).
   uint64_t windows_submitted() const;
   uint64_t windows_consumed() const;
-  // Consumer-side merge time per profiled window (OnRun ingest +
+  // Consumer-side merge time per profiled hand-off (OnRun ingest +
   // watermark emission + hashing + emit hook), measured off the barrier.
   // Copy; call after Drain for a complete series.
   std::vector<uint32_t> merge_us_samples() const;

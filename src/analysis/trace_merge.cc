@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
 
 namespace quanto {
 
@@ -201,13 +202,15 @@ size_t ShardRunBuilder::BuildRun(Tick barrier, bool flush_charges) {
   if (profile_) {
     start = std::chrono::steady_clock::now();
   }
-  // Carry-in first: the previous boundary's held-back entries are older
-  // than anything sealed now, so appending them before the fresh chunks
-  // lets the stable sort preserve per-node log order on equal keys.
-  if (run_.empty()) {
+  // An untaken run keeps its entries in front: all of them lie below the
+  // previous barrier, and everything appended from here on at or above
+  // it. Carry-in comes next: the previous boundary's held-back entries are
+  // older than anything sealed now, so appending them before the fresh
+  // chunks lets the stable sort preserve per-node log order on equal keys.
+  const size_t held = run_.size();
+  if (held == 0) {
     run_.swap(carry_);
   } else {
-    // Defensive: an untaken previous run stays and keeps merging.
     run_.insert(run_.end(), carry_.begin(), carry_.end());
   }
   carry_.clear();
@@ -251,9 +254,11 @@ size_t ShardRunBuilder::BuildRun(Tick barrier, bool flush_charges) {
     }
   }
   dirty_.clear();
-  // One sort per shard-window, in parallel across shards — this is the
-  // work the coordinator's per-entry heap no longer does per mote.
-  std::stable_sort(run_.begin(), run_.end(),
+  // One sort per shard-window of the fresh tail only, in parallel across
+  // shards — this is the work the coordinator's per-entry heap no longer
+  // does per mote.
+  auto tail = run_.begin() + static_cast<std::ptrdiff_t>(held);
+  std::stable_sort(tail, run_.end(),
                    [](const MergedEntry& a, const MergedEntry& b) {
                      if (a.time64 != b.time64) {
                        return a.time64 < b.time64;
@@ -264,14 +269,15 @@ size_t ShardRunBuilder::BuildRun(Tick barrier, bool flush_charges) {
   // at exactly the barrier time, after this run was built) move to the
   // next run, keeping consecutive runs of this shard globally sorted.
   auto split = std::lower_bound(
-      run_.begin(), run_.end(), barrier,
+      tail, run_.end(), barrier,
       [](const MergedEntry& m, Tick b) { return m.time64 < b; });
   carry_.assign(split, run_.end());
   run_.erase(split, run_.end());
   entries_carried_ += carry_.size();
-  if (!run_.empty()) {
+  const size_t added = run_.size() - held;
+  if (added > 0) {
     ++runs_built_;
-    entries_premerged_ += run_.size();
+    entries_premerged_ += added;
   }
   if (profile_) {
     last_build_us_ = static_cast<uint32_t>(
@@ -279,7 +285,7 @@ size_t ShardRunBuilder::BuildRun(Tick barrier, bool flush_charges) {
             std::chrono::steady_clock::now() - start)
             .count());
   }
-  return run_.size();
+  return added;
 }
 
 std::vector<MergedEntry> ShardRunBuilder::TakeRun(

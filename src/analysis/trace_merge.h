@@ -293,6 +293,14 @@ class StreamingTraceMerger : public TraceSink {
 // logger sealed straight into the merger (the watermark holds entries at
 // T for one window anyway).
 //
+// A run need not be taken every window. An untaken run stays, and the
+// next BuildRun appends that window's entries to it: everything sealed
+// after barrier T lies at or above T, above every entry already held, so
+// only the freshly sealed tail needs sorting and splitting, and the held
+// run plus the new tail is exactly the sorted run one BuildRun over both
+// windows would have made. The caller takes the run once it is worth a
+// hand-off.
+//
 // Thread discipline: everything here is owned by the shard — touched by
 // the shard's worker during windows and the pre-barrier phase, and by the
 // coordinator only between windows (TakeRun, dirty marks from
@@ -317,11 +325,13 @@ class ShardRunBuilder : public TraceSink {
   void AddDirty(QuantoLogger* logger) { dirty_.push_back(logger); }
   size_t dirty_count() const { return dirty_.size(); }
 
-  // Seals every dirty logger (and only those) into this window's run:
+  // Seals every dirty logger (and only those) onto the end of the run:
   // carry-in of the previous boundary, per-node unwrap + seq check on
-  // each sealed chunk, one stable sort, boundary holdback at `barrier`.
-  // Returns the entries placed in the run. Pass the final simulation time
-  // + 1 (or ~Tick{0}) as the last barrier to flush the carry.
+  // each sealed chunk, one stable sort of that fresh tail, boundary
+  // holdback at `barrier`. Entries of an untaken run stay in front of
+  // the tail. Returns the entries this call added to the run. Pass the
+  // final simulation time + 1 (or ~Tick{0}) as the last barrier to flush
+  // the carry.
   //
   // With `flush_charges` set, the dirty pass is the *fused* worker-side
   // charge flush: the dirty list is first sorted ascending by node id —
@@ -340,6 +350,8 @@ class ShardRunBuilder : public TraceSink {
   size_t BuildRun(Tick barrier, bool flush_charges = false);
 
   bool HasRun() const { return !run_.empty(); }
+  // Entries in the run, including those of windows it was left untaken.
+  size_t run_size() const { return run_.size(); }
   // Moves the built run out (for StreamingTraceMerger::OnRun) and puts
   // `next` in its place for the next BuildRun to fill: a consumed run
   // buffer handed back by the caller, or an empty vector when none is
@@ -354,6 +366,7 @@ class ShardRunBuilder : public TraceSink {
   // SealToSink calls issued — one per dirty logger per window, never one
   // per mote ("idle motes are never swept"; the dirty-list tests pin it).
   uint64_t seal_calls() const { return seal_calls_; }
+  // BuildRun calls that added entries to the run, and the entries added.
   uint64_t runs_built() const { return runs_built_; }
   uint64_t entries_premerged() const { return entries_premerged_; }
   // Boundary entries held back for the next run, cumulatively.
@@ -396,7 +409,7 @@ class ShardRunBuilder : public TraceSink {
   size_t shard_;
   std::map<node_id_t, StreamIngestState> nodes_;
   std::vector<QuantoLogger*> dirty_;
-  std::vector<MergedEntry> run_;    // The built (or building) run.
+  std::vector<MergedEntry> run_;    // The built run, untaken so far.
   std::vector<MergedEntry> carry_;  // Held-back boundary entries.
   TraceChunkPool pool_;
   uint64_t seal_calls_ = 0;

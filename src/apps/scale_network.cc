@@ -56,7 +56,8 @@ ScaleNetwork::ScaleNetwork(ShardedSimulator* sim, MediumFabric* fabric,
   sim->AddShardWindowTask([this, fused](size_t shard, Tick end) {
     builders_[shard]->BuildRun(end, /*flush_charges=*/fused);
   });
-  // Coordinator half: hand the runs and the watermark to the pipeline.
+  // Coordinator half: hand the runs and the watermark to the pipeline
+  // once they are worth a hand-off.
   sim->AddBarrierHook([this, fused](Tick end) {
     if (fused) {
       // Window accounting for the fused flush lives here — once per
@@ -65,7 +66,7 @@ ScaleNetwork::ScaleNetwork(ShardedSimulator* sim, MediumFabric* fabric,
       // which only runs from its barrier hook.
       ++charge_flush_windows_;
     }
-    HandOffRuns(end, true);
+    HandOffRuns(end, /*tail=*/false);
   });
 }
 
@@ -343,18 +344,26 @@ size_t ScaleNetwork::SealAllChunks() {
   for (const auto& b : builders_) {
     sealed += b->BuildRun(~Tick{0});
   }
-  HandOffRuns(~Tick{0}, /*record_profile=*/false);
+  HandOffRuns(~Tick{0}, /*tail=*/true);
   // Tail-flush ordering: the final watermark is queued, not yet emitted.
-  // Drain blocks until the consumer has merged every submitted window —
+  // Drain blocks until the consumer has merged every submitted hand-off —
   // only then are the hash, the spill bytes and the consumer-side
   // merge_us samples final (and safe to read from this thread).
   config_.emission_pipeline->Drain();
-  merge_us_samples_ = config_.emission_pipeline->merge_us_samples();
+  // One merge sample per profiled hand-off; spread them over the profiled
+  // windows so the series lines up with seal_us_samples().
+  std::vector<uint32_t> handoff_us =
+      config_.emission_pipeline->merge_us_samples();
+  merge_us_samples_.assign(seal_us_samples_.size(), 0);
+  for (size_t k = 0; k < handoff_us.size() && k < handoff_windows_.size();
+       ++k) {
+    merge_us_samples_[handoff_windows_[k]] = handoff_us[k];
+  }
   return sealed;
 }
 
-void ScaleNetwork::HandOffRuns(Tick window_end, bool record_profile) {
-  bool profile = config_.profile_barrier && record_profile;
+void ScaleNetwork::HandOffRuns(Tick window_end, bool tail) {
+  bool profile = config_.profile_barrier && !tail;
   if (profile) {
     // seal_us is the window's critical-path pre-merge (max across shards,
     // measured on the workers; the window barrier published the writes);
@@ -370,11 +379,27 @@ void ScaleNetwork::HandOffRuns(Tick window_end, bool record_profile) {
       flush_us_samples_.push_back(flush_us);
     }
   }
+  // Below kHandOffEntries the runs stay with their builders, which append
+  // the next windows to them, so one lock and one consumer wake-up serve
+  // many small windows. The watermark waits with them: the merger emits
+  // the same sequence whichever barriers advance it.
+  if (!tail) {
+    size_t held = 0;
+    for (const auto& b : builders_) {
+      held += b->run_size();
+    }
+    if (held < kHandOffEntries) {
+      return;
+    }
+  }
+  if (profile) {
+    handoff_windows_.push_back(seal_us_samples_.size() - 1);
+  }
   // The barrier's share of the backend is just this hand-off: move the
   // runs plus the watermark into the bounded queue and release the
   // shards; the consumer thread does the k-way merge and emission
-  // concurrently with the next window (and records merge_us there).
-  // SubmitWindow only blocks when the consumer is max_depth windows
+  // concurrently with the next windows (and records merge_us there).
+  // SubmitWindow only blocks when the consumer is max_depth hand-offs
   // behind (accounted as consumer_stall_us).
   //
   // Run buffers come back on the consumer's schedule. Only a builder whose

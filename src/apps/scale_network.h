@@ -84,13 +84,14 @@ struct ScaleNetworkConfig {
   // Streaming trace collection (null: batch collection, whole traces stay
   // in the loggers). On sharded builds each shard's worker seals only its
   // *dirty* loggers — marked by the on-first-append hook, so idle motes
-  // cost nothing — into a pre-merged time-sorted run during the
-  // pre-barrier phase. The coordinator's barrier hook then hands the
-  // window's runs plus the new watermark to this bounded pipeline and
-  // immediately releases the shards into the next window; the pipeline's
-  // consumer thread performs the k-way merge, watermark emission, hashing
-  // and everything behind the merger's emit hook (regression feed, spill)
-  // concurrently with simulation. The consumer owns the merger, so
+  // cost nothing — onto its pre-merged time-sorted run during the
+  // pre-barrier phase. Once the runs together hold kHandOffEntries
+  // entries, the coordinator's barrier hook hands them plus the barrier
+  // as the new watermark to this bounded pipeline and releases the shards
+  // into the next window; the pipeline's consumer thread performs the
+  // k-way merge, watermark emission, hashing and everything behind the
+  // merger's emit hook (regression feed, spill) concurrently with
+  // simulation. The consumer owns the merger, so
   // callers must NOT register their own watermark hook. SealAllChunks()
   // drains the queue before returning, so the tail flush precedes the
   // final hash read. The emitted sequence, fingerprint and spill bytes
@@ -101,13 +102,24 @@ struct ScaleNetworkConfig {
   EmissionPipeline* emission_pipeline = nullptr;
   // Record per-window seal/merge/flush timings (and enable builder
   // profiling) for the barrier-latency percentiles in bench_scale_multihop.
-  // merge_us is recorded by the consumer thread (where the merge runs) and
-  // copied back at SealAllChunks().
+  // merge_us is recorded by the consumer thread (where the merge runs), one
+  // sample per hand-off, and spread back over the windows at
+  // SealAllChunks().
   bool profile_barrier = false;
 };
 
 class ScaleNetwork {
  public:
+  // Entries the shard builders must hold together before a window barrier
+  // hands their runs to the emission pipeline. Each hand-off costs a lock
+  // and a consumer wake-up. A 512 µs window of the 64-mote chain logs
+  // about 37 entries, so a hand-off per window would pay that cost
+  // ~200 000 times in a 300 s run, and the coordinator would stall
+  // ~0.15 s waiting for the consumer to wake. At 512 and 1 024 entries
+  // ~0.1 s of that stall remains; at 4 096 none does. The held entries
+  // cost about 128 KiB (32 bytes each) per hand-off in flight.
+  static constexpr size_t kHandOffEntries = 4096;
+
   // Sharded build: motes land on sim->queue(i % shards) with the matching
   // fabric medium replica.
   ScaleNetwork(ShardedSimulator* sim, MediumFabric* fabric,
@@ -198,10 +210,11 @@ class ScaleNetwork {
   // builder an empty vector instead: the number of run buffers this
   // network added to circulation. Flat after warm-up.
   uint64_t run_buffers_allocated() const { return run_buffers_allocated_; }
-  // Per-window profiling samples (profile_barrier only): max per-shard
-  // run-build time, and the merge + watermark-emission time measured on
-  // the consumer thread (copied back by SealAllChunks), outside the
-  // barrier.
+  // Per-window profiling samples (profile_barrier only), equal in length:
+  // max per-shard run-build time, and the merge + watermark-emission time
+  // measured on the consumer thread, outside the barrier. The consumer
+  // times one merge per hand-off; SealAllChunks places each at the window
+  // that submitted it and 0 at every window that submitted nothing.
   const std::vector<uint32_t>& seal_us_samples() const {
     return seal_us_samples_;
   }
@@ -219,12 +232,12 @@ class ScaleNetwork {
  private:
   void Build(const std::vector<EventQueue*>& queues,
              const std::vector<Medium*>& media);
-  // Coordinator half of the window barrier: queues every built run plus
-  // the watermark on the emission pipeline, putting a run buffer the
-  // consumer has retired in each taken run's place. `record_profile` is
-  // false for the end-of-run tail flush, which is not a window and would
-  // skew the per-window percentiles.
-  void HandOffRuns(Tick window_end, bool record_profile);
+  // Coordinator half of the window barrier: once the builders hold
+  // kHandOffEntries entries — and always for the end-of-run `tail` —
+  // queues every built run plus the barrier as watermark on the emission
+  // pipeline, putting a run buffer the consumer has retired in each taken
+  // run's place. The tail is not a window and records no profile sample.
+  void HandOffRuns(Tick window_end, bool tail);
   // Next backbone index in this origin band, or motes_.size() when `i` is
   // the band's sink.
   size_t NextBackbone(size_t i) const;
@@ -265,6 +278,9 @@ class ScaleNetwork {
   uint64_t charge_flush_visits_ = 0;
   uint64_t charge_flush_windows_ = 0;
   uint64_t run_buffers_allocated_ = 0;
+  // Indices into seal_us_samples_ of the profiled windows that handed off,
+  // in submission order: where each consumer-side merge sample belongs.
+  std::vector<size_t> handoff_windows_;
   std::vector<uint32_t> seal_us_samples_;
   std::vector<uint32_t> merge_us_samples_;
   std::vector<uint32_t> flush_us_samples_;

@@ -100,6 +100,55 @@ bool ParseWideNodeEntry(const PayloadBytes& in, size_t offset, LogEntry* e) {
 
 }  // namespace
 
+size_t DumpRecordBytes(uint8_t am_type) {
+  switch (am_type) {
+    case TraceDumpService::kAmType:
+      return kLegacyRecordBytes;
+    case TraceDumpService::kAmTypeWide:
+      return kWideRecordBytes;
+    case TraceDumpService::kAmTypeWideNode:
+      return kWideNodeRecordBytes;
+    default:
+      return 0;
+  }
+}
+
+void EncodeDumpFrame(uint8_t am_type, const std::vector<LogEntry>& entries,
+                     PayloadBytes* out) {
+  for (const LogEntry& e : entries) {
+    if (am_type == TraceDumpService::kAmType) {
+      AppendLegacyEntry(*out, e);
+    } else if (am_type == TraceDumpService::kAmTypeWide) {
+      AppendWideEntry(*out, e);
+    } else if (am_type == TraceDumpService::kAmTypeWideNode) {
+      AppendWideNodeEntry(*out, e);
+    }
+  }
+}
+
+size_t DecodeDumpFrame(uint8_t am_type, const PayloadBytes& payload,
+                       std::vector<LogEntry>* out) {
+  size_t record = DumpRecordBytes(am_type);
+  if (record == 0) {
+    return 0;
+  }
+  size_t decoded = 0;
+  for (size_t offset = 0; offset + record <= payload.size();
+       offset += record) {
+    LogEntry e{};
+    bool ok = record == kLegacyRecordBytes
+                  ? ParseLegacyEntry(payload, offset, &e)
+                  : record == kWideRecordBytes
+                        ? ParseWideEntry(payload, offset, &e)
+                        : ParseWideNodeEntry(payload, offset, &e);
+    if (ok) {
+      out->push_back(e);
+      ++decoded;
+    }
+  }
+  return decoded;
+}
+
 TraceDumpService::TraceDumpService(Mote* mote, const Config& config)
     : mote_(mote), config_(config) {}
 
@@ -193,15 +242,7 @@ void TraceDumpService::ShipBatch(size_t max_entries) {
     Packet packet;
     packet.dst = config_.collector;
     packet.am_type = am_type;
-    for (const LogEntry& e : batch_.entries) {
-      if (am_type == kAmType) {
-        AppendLegacyEntry(packet.payload, e);
-      } else if (am_type == kAmTypeWide) {
-        AppendWideEntry(packet.payload, e);
-      } else {
-        AppendWideNodeEntry(packet.payload, e);
-      }
-    }
+    EncodeDumpFrame(am_type, batch_.entries, &packet.payload);
     mote_->cpu().ChargeCycles(config_.marshal_cost);
     act_t prev = mote_->cpu().activity().get();
     mote_->cpu().activity().set(mote_->Label(kActLogger));
@@ -238,24 +279,7 @@ void TraceCollector::Start() {
 
 void TraceCollector::OnPacket(const Packet& packet) {
   ++packets_received_;
-  size_t record = packet.am_type == TraceDumpService::kAmType
-                      ? kLegacyRecordBytes
-                      : packet.am_type == TraceDumpService::kAmTypeWide
-                            ? kWideRecordBytes
-                            : kWideNodeRecordBytes;
-  std::vector<LogEntry>& trace = traces_[packet.src];
-  for (size_t offset = 0; offset + record <= packet.payload.size();
-       offset += record) {
-    LogEntry e;
-    bool ok = record == kLegacyRecordBytes
-                  ? ParseLegacyEntry(packet.payload, offset, &e)
-                  : record == kWideRecordBytes
-                        ? ParseWideEntry(packet.payload, offset, &e)
-                        : ParseWideNodeEntry(packet.payload, offset, &e);
-    if (ok) {
-      trace.push_back(e);
-    }
-  }
+  DecodeDumpFrame(packet.am_type, packet.payload, &traces_[packet.src]);
 }
 
 const std::vector<LogEntry>& TraceCollector::TraceFrom(node_id_t node) const {

@@ -78,6 +78,22 @@ class TraceDumpService {
   uint64_t entries_shipped_ = 0;
 };
 
+// The dump frame wire format, shared by TraceDumpService and
+// TraceCollector: raw little-endian records with no header, the AM type
+// naming the record layout. Bytes per record for a dump AM type, 0 for any
+// other type.
+size_t DumpRecordBytes(uint8_t am_type);
+// Appends `entries` to `out` as records of the dump AM type `am_type`.
+void EncodeDumpFrame(uint8_t am_type, const std::vector<LogEntry>& entries,
+                     PayloadBytes* out);
+// Appends the whole records of a received frame's payload to `out`, in
+// order, and returns how many: payload.size() / DumpRecordBytes(am_type)
+// at most. A trailing partial record decodes to nothing, as does a payload
+// of any other AM type. The payload is untrusted radio input: nothing
+// past its size is read.
+size_t DecodeDumpFrame(uint8_t am_type, const PayloadBytes& payload,
+                       std::vector<LogEntry>* out);
+
 // Sink-side reassembly: collects dump packets from any number of nodes.
 class TraceCollector {
  public:

@@ -137,85 +137,120 @@ TEST(ShardRunBuilderTest, HoldsBackBoundaryEntriesForNextRun) {
   EXPECT_EQ(second[0].time64, 100u);
   EXPECT_EQ(uint64_t{second[0].entry.payload}, 2u);
   EXPECT_EQ(second[1].time64, 150u);
+
+  // Left untaken, the run keeps its entries and the next BuildRun appends
+  // behind them; each call returns only the entries it added.
+  clock.now = 250;
+  logger.Append(LogEntryType::kPowerState, 0, 4);
+  clock.now = 300;  // At the barrier again: held back.
+  logger.Append(LogEntryType::kPowerState, 0, 5);
+  EXPECT_EQ(builder.BuildRun(300), 1u);
+  EXPECT_EQ(builder.run_size(), 1u);
+  clock.now = 350;
+  logger.Append(LogEntryType::kPowerState, 0, 6);
+  EXPECT_EQ(builder.BuildRun(400), 2u);
+  EXPECT_EQ(builder.BuildRun(500), 0u);  // Nothing logged: adds nothing.
+  std::vector<MergedEntry> third = builder.TakeRun();
+  ASSERT_EQ(third.size(), 3u);
+  EXPECT_EQ(third[0].time64, 250u);
+  EXPECT_EQ(third[1].time64, 300u);
+  EXPECT_EQ(uint64_t{third[1].entry.payload}, 5u);
+  EXPECT_EQ(third[2].time64, 350u);
+  EXPECT_EQ(builder.entries_carried(), 2u);
 }
 
 TEST(ShardRunBuilderTest, PremergedRunsMatchBatchMergeIncludingWrap) {
   // Two loggers on one shard, same-tick ties across nodes and a 32-bit
   // wrap inside one log, runs cut at awkward barriers: feeding the built
-  // runs through OnRun must reproduce MergeTraces exactly, hash included.
-  FakeClock clock;
-  FakeCounter meter;
-  ShardRunBuilder builder(0);
-  QuantoLogger a(&clock, &meter, 64);
-  QuantoLogger b(&clock, &meter, 64);
-  a.SetSink(&builder, 5);
-  b.SetSink(&builder, 3);
-  for (QuantoLogger* logger : {&a, &b}) {
-    logger->SetChunkPool(&builder.pool());
-    logger->SetDirtyHook(ShardRunBuilder::MarkDirtyHook, &builder);
-  }
+  // runs through OnRun must reproduce MergeTraces exactly, hash included —
+  // whether the run is taken at every barrier, at every other one, or
+  // only at the last, so that one run is held across the tie and the wrap.
+  for (size_t take_every : {size_t{1}, size_t{2}, size_t{3}}) {
+    SCOPED_TRACE(take_every);
+    FakeClock clock;
+    FakeCounter meter;
+    ShardRunBuilder builder(0);
+    QuantoLogger a(&clock, &meter, 64);
+    QuantoLogger b(&clock, &meter, 64);
+    a.SetSink(&builder, 5);
+    b.SetSink(&builder, 3);
+    for (QuantoLogger* logger : {&a, &b}) {
+      logger->SetChunkPool(&builder.pool());
+      logger->SetDirtyHook(ShardRunBuilder::MarkDirtyHook, &builder);
+    }
 
-  struct Step {
-    QuantoLogger* logger;
-    uint32_t time;
-    uint32_t payload;
-  };
-  std::vector<Step> steps = {
-      {&a, 100, 1}, {&b, 100, 5},          // Tie across nodes.
-      {&a, 0xFFFFFFF0u, 2},                // Near the wrap...
-      {&a, 5, 3},  {&b, 6, 6}, {&a, 6, 4}  // ...and past it.
-  };
-  // Reference logs for the batch merge (unwrapped by MergeTraces itself).
-  std::vector<NodeTrace> traces(2);
-  traces[0].node = 5;
-  traces[1].node = 3;
+    struct Step {
+      QuantoLogger* logger;
+      uint32_t time;
+      uint32_t payload;
+    };
+    std::vector<Step> steps = {
+        {&a, 100, 1}, {&b, 100, 5},          // Tie across nodes.
+        {&a, 0xFFFFFFF0u, 2},                // Near the wrap...
+        {&a, 5, 3},  {&b, 6, 6}, {&a, 6, 4}  // ...and past it.
+    };
+    // Reference logs for the batch merge (unwrapped by MergeTraces itself).
+    std::vector<NodeTrace> traces(2);
+    traces[0].node = 5;
+    traces[1].node = 3;
 
-  StreamingTraceMerger merger;
-  std::vector<MergedEntry> streamed;
-  merger.SetEmit([&streamed](const MergedEntry& m) { streamed.push_back(m); });
+    StreamingTraceMerger merger;
+    std::vector<MergedEntry> streamed;
+    merger.SetEmit(
+        [&streamed](const MergedEntry& m) { streamed.push_back(m); });
 
-  // Log in three windows with barriers placed mid-sequence (in unwrapped
-  // time the wrap puts entries 2..5 past 2^32).
-  size_t step = 0;
-  for (uint64_t barrier :
-       {uint64_t{0xFFFFFFF0u}, uint64_t{1} << 32, ~uint64_t{0}}) {
-    while (step < steps.size()) {
-      const Step& s = steps[step];
-      uint64_t unwrapped = s.time < 100 ? (uint64_t{1} << 32) + s.time
-                                        : uint64_t{s.time};
-      if (unwrapped >= barrier) {
-        break;
+    // Log in three windows with barriers placed mid-sequence (in unwrapped
+    // time the wrap puts entries 2..5 past 2^32). The watermark advances
+    // only with a taken run, as at a network's hand-off.
+    const std::vector<uint64_t> barriers = {uint64_t{0xFFFFFFF0u},
+                                            uint64_t{1} << 32, ~uint64_t{0}};
+    size_t step = 0;
+    size_t added = 0;
+    for (size_t i = 0; i < barriers.size(); ++i) {
+      uint64_t barrier = barriers[i];
+      while (step < steps.size()) {
+        const Step& s = steps[step];
+        uint64_t unwrapped = s.time < 100 ? (uint64_t{1} << 32) + s.time
+                                          : uint64_t{s.time};
+        if (unwrapped >= barrier) {
+          break;
+        }
+        clock.now = s.time;
+        s.logger->Append(LogEntryType::kPowerState, 0, s.payload);
+        LogEntry e;
+        e.type = static_cast<uint8_t>(LogEntryType::kPowerState);
+        e.res_id = 0;
+        e.time = s.time;
+        e.icount = 0;
+        e.payload = s.payload;
+        (s.logger == &a ? traces[0] : traces[1]).entries.push_back(e);
+        ++step;
       }
-      clock.now = s.time;
-      s.logger->Append(LogEntryType::kPowerState, 0, s.payload);
-      LogEntry e;
-      e.type = static_cast<uint8_t>(LogEntryType::kPowerState);
-      e.res_id = 0;
-      e.time = s.time;
-      e.icount = 0;
-      e.payload = s.payload;
-      (s.logger == &a ? traces[0] : traces[1]).entries.push_back(e);
-      ++step;
+      added += builder.BuildRun(barrier);
+      bool take = (i + 1) % take_every == 0 || i + 1 == barriers.size();
+      if (!take) {
+        continue;
+      }
+      if (builder.HasRun()) {
+        merger.OnRun(0, builder.TakeRun());
+      }
+      merger.AdvanceWatermark(barrier);
     }
-    builder.BuildRun(barrier);
-    if (builder.HasRun()) {
-      merger.OnRun(0, builder.TakeRun());
-    }
-    merger.AdvanceWatermark(barrier);
-  }
-  merger.Finish();
+    merger.Finish();
+    EXPECT_EQ(added, steps.size());
 
-  std::vector<MergedEntry> batch = MergeTraces(traces);
-  ASSERT_EQ(streamed.size(), batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(streamed[i].time64, batch[i].time64) << "entry " << i;
-    EXPECT_EQ(streamed[i].node, batch[i].node) << "entry " << i;
-    EXPECT_EQ(uint64_t{streamed[i].entry.payload},
-              uint64_t{batch[i].entry.payload})
-        << "entry " << i;
+    std::vector<MergedEntry> batch = MergeTraces(traces);
+    ASSERT_EQ(streamed.size(), batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ(streamed[i].time64, batch[i].time64) << "entry " << i;
+      EXPECT_EQ(streamed[i].node, batch[i].node) << "entry " << i;
+      EXPECT_EQ(uint64_t{streamed[i].entry.payload},
+                uint64_t{batch[i].entry.payload})
+          << "entry " << i;
+    }
+    EXPECT_EQ(merger.hash(), MergedTraceHash(batch));
+    EXPECT_EQ(builder.seq_gaps(), 0u);
   }
-  EXPECT_EQ(merger.hash(), MergedTraceHash(batch));
-  EXPECT_EQ(builder.seq_gaps(), 0u);
 }
 
 // --- Freelist recycling ------------------------------------------------------
@@ -282,6 +317,11 @@ struct PipelineRun {
   uint64_t chunks_sealed = 0;
   uint64_t empty_seals_skipped = 0;
   size_t motes = 0;
+  // kPremerged only: hand-offs submitted, run buffers the network added,
+  // and the shards × (max_depth + 4) bound they must stay within.
+  uint64_t handoffs = 0;
+  uint64_t run_buffers_allocated = 0;
+  uint64_t run_buffer_bound = 0;
   PipelineResult fit;
 };
 
@@ -373,6 +413,11 @@ PipelineRun RunRelay(SealMode mode, size_t threads, size_t motes,
     run.seal_calls = net.premerge_seal_calls();
     run.chunks_sealed = net.chunks_sealed();
     run.empty_seals_skipped = net.empty_seals_skipped();
+    if (emission != nullptr) {
+      run.handoffs = emission->windows_submitted();
+      run.run_buffers_allocated = net.run_buffers_allocated();
+      run.run_buffer_bound = sim_cfg.shards * (emission->max_depth() + 4);
+    }
   }
   if (spill != nullptr) {
     EXPECT_TRUE(spill->Close());
@@ -445,6 +490,76 @@ TEST(BarrierPipelineTest, PremergedMatchesCoordinatorSealAndBatchAt1_2_4) {
     EXPECT_EQ(premerged.seal_calls, premerged.chunks_sealed) << threads;
     EXPECT_EQ(premerged.empty_seals_skipped, 0u) << threads;
   }
+}
+
+TEST(BarrierPipelineTest, SmallWindowsShareAHandOff) {
+  // A 64-mote chain logs a few dozen entries per 512 µs window. The
+  // builders keep appending windows to their runs until together they
+  // hold ScaleNetwork::kHandOffEntries, so one hand-off serves many
+  // windows — and the merge still equals the batch merge, with the run
+  // buffers in circulation still bounded by one run per shard in flight.
+  PipelineRun batch = RunRelay(SealMode::kBatch, 1, 64, 2.0, 1 << 16);
+  ASSERT_GT(batch.emitted, 4 * ScaleNetwork::kHandOffEntries);
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+    SCOPED_TRACE(threads);
+    PipelineRun premerged =
+        RunRelay(SealMode::kPremerged, threads, 64, 2.0, 512);
+    EXPECT_EQ(premerged.dropped, 0u);
+    EXPECT_EQ(premerged.seq_gaps, 0u);
+    EXPECT_EQ(premerged.emitted, batch.emitted);
+    EXPECT_EQ(premerged.merge_hash, batch.merge_hash);
+    EXPECT_GT(premerged.handoffs, 1u);
+    EXPECT_LE(premerged.handoffs * 10, premerged.windows);
+    EXPECT_GT(premerged.run_buffers_allocated, 0u);
+    EXPECT_LE(premerged.run_buffers_allocated, premerged.run_buffer_bound);
+  }
+}
+
+TEST(BarrierPipelineTest, MergeSamplesLineUpWithWindows) {
+  // The consumer times one merge per hand-off; the network places each
+  // sample at the window that submitted it and 0 at the others, so the
+  // profiled merge series lines up with the seal series window for window
+  // and loses none of the consumer's time.
+  ShardedSimulator::Config sim_cfg;
+  sim_cfg.shards = 8;
+  sim_cfg.threads = 2;
+  sim_cfg.lookahead = Microseconds(512);
+  ShardedSimulator sim(sim_cfg);
+  MediumFabric fabric(&sim);
+  StreamingTraceMerger merger;
+  EmissionPipeline emission(&merger);
+  ScaleNetworkConfig cfg;
+  cfg.motes = 64;
+  cfg.log_capacity = 512;
+  cfg.batch_log_charging = true;
+  cfg.emission_pipeline = &emission;
+  cfg.profile_barrier = true;
+  ScaleNetwork net(&sim, &fabric, cfg);
+  net.PowerUp();
+  sim.RunFor(Milliseconds(5));
+  net.StartApps();
+  sim.RunFor(Seconds(2));
+  net.SealAllChunks();
+  merger.Finish();
+
+  const std::vector<uint32_t>& seal_us = net.seal_us_samples();
+  const std::vector<uint32_t>& merge_us = net.merge_us_samples();
+  EXPECT_EQ(seal_us.size(), sim.windows_run());
+  ASSERT_EQ(merge_us.size(), seal_us.size());
+  // Every hand-off but the unprofiled tail left one sample.
+  std::vector<uint32_t> handoff_us = emission.merge_us_samples();
+  EXPECT_EQ(handoff_us.size() + 1, emission.windows_submitted());
+  EXPECT_LE(handoff_us.size() * 10, merge_us.size());
+  uint64_t handoff_total = 0;
+  for (uint32_t us : handoff_us) {
+    handoff_total += us;
+  }
+  uint64_t window_total = 0;
+  for (uint32_t us : merge_us) {
+    window_total += us;
+  }
+  EXPECT_GT(handoff_total, 0u);
+  EXPECT_EQ(window_total, handoff_total);
 }
 
 TEST(BarrierPipelineTest, SpillBytesIdenticalToBatchWriter) {

@@ -8,7 +8,7 @@
 //    finished inside every barrier (and to the batch merge) at any
 //    thread count and any queue depth.
 //  * Backpressure — the bounded queue blocks the producer only when the
-//    consumer falls max_depth windows behind, and the stall is counted.
+//    consumer falls max_depth hand-offs behind, and the stall is counted.
 //  * Lifecycle — early teardown joins the consumer after finishing the
 //    queue (no merge loss, no use-after-free of pooled buffers), and the
 //    tail flush drains the queue before the final hash is read.
@@ -199,9 +199,11 @@ struct PipelineRun {
 
 // kAsync is the runner's streamed path: the consumer merges while the
 // shards run the next windows. kSync streams through the same pipeline
-// but drains it from a barrier hook after every hand-off, so each
-// window's merge finishes before the shards are released — the merge
-// inside the barrier that off-barrier emission replaces.
+// but drains it from a barrier hook at every window, after the network's
+// hand-off, so each hand-off's merge finishes before the shards are
+// released — the merge inside the barrier that off-barrier emission
+// replaces. Either way the network hands off only once its builders hold
+// ScaleNetwork::kHandOffEntries entries, not every window.
 enum class EmitMode { kBatch, kSync, kAsync };
 
 // One relay run, batch-collected or streamed through the pipeline. With a
@@ -307,7 +309,7 @@ TEST(EmissionPipelineTest, AsyncMatchesSyncAndBatchAt1_2_4Threads) {
   EXPECT_EQ(sync.seq_gaps, 0u);
   EXPECT_EQ(sync.emitted, batch.emitted);
   EXPECT_EQ(sync.merge_hash, batch.merge_hash);
-  // Lock-step: the queue never held more than one window (one run per
+  // Lock-step: the queue never held more than one hand-off (one run per
   // shard), so it never filled and the producer never stalled.
   EXPECT_LE(sync.runs_queued_peak, 8u);
   EXPECT_EQ(sync.stall_us, 0u);
@@ -338,9 +340,10 @@ TEST(EmissionPipelineTest, AsyncMatchesSyncAndBatchAt1_2_4Threads) {
 }
 
 TEST(EmissionPipelineTest, TailFlushDrainsTinyDepthQueueBeforeFinalHash) {
-  // Depth 1 forces the producer through the backpressure path on nearly
-  // every window; the tail flush must still drain everything before the
-  // final hash — asserted equal to the batch merge of the same run.
+  // Depth 1 sends every hand-off that finds the previous one still queued
+  // through the backpressure path; the tail flush must still drain
+  // everything before the final hash — asserted equal to the batch merge
+  // of the same run.
   PipelineRun batch = RunRelay(EmitMode::kBatch, 1, 48, 0.5, 0);
   PipelineRun tiny = RunRelay(EmitMode::kAsync, 1, 48, 0.5, 1);
   EXPECT_EQ(tiny.dropped, 0u);

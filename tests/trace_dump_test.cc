@@ -147,5 +147,111 @@ TEST(TraceDumpTest, NoTrafficBelowBatchThreshold) {
   EXPECT_EQ(dump.packets_sent(), 0u);
 }
 
+// --- Hostile frames ----------------------------------------------------------
+
+LogEntry DumpEntry(LogEntryType type, res_id_t res, uint32_t time,
+                   uint64_t payload) {
+  LogEntry e{};
+  e.type = static_cast<uint8_t>(type);
+  e.res_id = res;
+  e.time = time;
+  e.icount = time / 3;
+  e.payload = payload;
+  return e;
+}
+
+bool SameEntry(const LogEntry& a, const LogEntry& b) {
+  return a.type == b.type && a.res_id == b.res_id &&
+         uint32_t{a.time} == uint32_t{b.time} &&
+         uint32_t{a.icount} == uint32_t{b.icount} &&
+         uint64_t{a.payload} == uint64_t{b.payload};
+}
+
+// `count` entries for one frame, half of them activity labels of `node`.
+std::vector<LogEntry> FrameEntries(node_id_t node, size_t count) {
+  std::vector<LogEntry> entries;
+  for (size_t i = 0; i < count; ++i) {
+    uint32_t time = 1000 + 37 * static_cast<uint32_t>(i);
+    if (i % 3 == 2) {
+      entries.push_back(
+          DumpEntry(LogEntryType::kPowerState, kSinkLed0, time, i % 2));
+    } else {
+      entries.push_back(DumpEntry(LogEntryType::kActivitySet, kSinkCpu, time,
+                                  MakeActivity(node, kActLogger)));
+    }
+  }
+  return entries;
+}
+
+TEST(DumpFrameMutationTest, TruncationsAndBitFlipsYieldWholeRecords) {
+  // Every truncation and every single-bit flip of a valid frame of each
+  // dump format, decoded as the collector decodes it: whole records or
+  // none, no read past the payload (ASan), never more records than the
+  // payload's length holds, and a flip damages no record but its own.
+  struct Frame {
+    uint8_t am_type;
+    std::vector<LogEntry> entries;
+  };
+  std::vector<Frame> frames = {
+      {TraceDumpService::kAmType,
+       FrameEntries(1, TraceDumpService::kEntriesPerPacket)},
+      {TraceDumpService::kAmTypeWide,
+       FrameEntries(300, TraceDumpService::kEntriesPerPacketWide)},
+      {TraceDumpService::kAmTypeWideNode,
+       FrameEntries(70000, TraceDumpService::kEntriesPerPacketWideNode)},
+  };
+  for (const Frame& frame : frames) {
+    SCOPED_TRACE(static_cast<int>(frame.am_type));
+    size_t record = DumpRecordBytes(frame.am_type);
+    ASSERT_GT(record, 0u);
+    PayloadBytes valid;
+    EncodeDumpFrame(frame.am_type, frame.entries, &valid);
+    ASSERT_EQ(valid.size(), frame.entries.size() * record);
+    std::vector<LogEntry> decoded;
+    ASSERT_EQ(DecodeDumpFrame(frame.am_type, valid, &decoded),
+              frame.entries.size());
+    for (size_t i = 0; i < decoded.size(); ++i) {
+      ASSERT_TRUE(SameEntry(decoded[i], frame.entries[i])) << "entry " << i;
+    }
+
+    auto decode = [&](const PayloadBytes& mutated) {
+      std::vector<LogEntry> out;
+      size_t n = DecodeDumpFrame(frame.am_type, mutated, &out);
+      EXPECT_EQ(n, out.size());
+      EXPECT_LE(n, mutated.size() / record);
+      return out;
+    };
+    for (size_t len = 0; len < valid.size(); ++len) {
+      PayloadBytes cut;
+      cut.assign(valid.begin(), valid.begin() + len);
+      std::vector<LogEntry> out = decode(cut);
+      ASSERT_EQ(out.size(), len / record) << "truncated to " << len;
+      for (size_t i = 0; i < out.size(); ++i) {
+        ASSERT_TRUE(SameEntry(out[i], decoded[i]))
+            << "truncated to " << len << ", entry " << i;
+      }
+    }
+    for (size_t bit = 0; bit < valid.size() * 8; ++bit) {
+      PayloadBytes flipped = valid;
+      flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      std::vector<LogEntry> out = decode(flipped);
+      ASSERT_EQ(out.size(), decoded.size()) << "bit " << bit;
+      for (size_t i = 0; i < out.size(); ++i) {
+        if (i != bit / 8 / record) {
+          ASSERT_TRUE(SameEntry(out[i], decoded[i]))
+              << "bit " << bit << ", entry " << i;
+        }
+      }
+    }
+  }
+  // A payload of any other AM type is not a dump frame.
+  PayloadBytes legacy;
+  EncodeDumpFrame(TraceDumpService::kAmType, frames[0].entries, &legacy);
+  std::vector<LogEntry> none;
+  EXPECT_EQ(DumpRecordBytes(0x5C), 0u);
+  EXPECT_EQ(DecodeDumpFrame(0x5C, legacy, &none), 0u);
+  EXPECT_TRUE(none.empty());
+}
+
 }  // namespace
 }  // namespace quanto
